@@ -21,7 +21,9 @@ constexpr uint32_t kCacheMagic = 0x43415044;  // "DPAC"
 // v2: profile inputs may carry the version-4 memory axis (the profile-set
 // CRC covers the serialized bytes, but the bump makes the invalidation
 // explicit across the format change).
-constexpr uint8_t kCacheVersion = 2;
+// v3: the profile-set CRC chains each profile's CRC32 trailer instead of
+// hashing its trailer-free bytes, so entries keyed the old way miss once.
+constexpr uint8_t kCacheVersion = 3;
 
 void PutF64(ByteWriter* w, double v) {
   uint64_t bits = 0;
@@ -480,11 +482,11 @@ uint32_t ProfileSetCrc(const AnalysisInput& input) {
     const uint8_t present = profile != nullptr;
     crc = Crc32(&present, 1, crc);
     if (!profile) continue;
-    // Hash the trailer-free serialization: the checksummed form ends with
-    // its own CRC32, and CRC(m || crc(m)) is a content-independent residue
-    // — two same-length profiles would collide.
-    std::vector<uint8_t> bytes = SerializeProfileV2(*profile);
-    crc = Crc32(bytes.data(), bytes.size(), crc);
+    // Chain the profile's own CRC32 trailer, not its whole serialization:
+    // CRC(m || crc(m)) is a content-independent residue, so hashing the
+    // checksummed bytes would make two same-length profiles collide.
+    std::vector<uint8_t> bytes = SerializeProfile(*profile);
+    crc = Crc32(bytes.data() + bytes.size() - 4, 4, crc);
   }
   return crc;
 }

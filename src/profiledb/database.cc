@@ -16,8 +16,7 @@ namespace dcpi {
 namespace {
 
 constexpr uint32_t kMagic = 0x44435049;  // "DCPI"
-constexpr uint8_t kVersionFixedWidth = 1;
-constexpr uint8_t kVersionVarint = 2;
+constexpr uint8_t kVersionFixedWidth = 1;  // written for size comparison only
 constexpr uint8_t kVersionChecksummed = 3;  // varint body + CRC32 trailer
 constexpr uint8_t kVersionMemory = 4;  // v3 + data-line memory section, CRC32 trailer
 
@@ -40,7 +39,7 @@ bool ParseEpochDirName(const std::string& dir_name, uint32_t* epoch) {
   return true;
 }
 
-// Header + varint-encoded count records, shared by versions 2 and 3.
+// Header + varint-encoded count records, shared by versions 3 and 4.
 void AppendVarintProfile(const ImageProfile& profile, uint8_t version,
                          ByteWriter* writer) {
   writer->PutU32(kMagic);
@@ -177,12 +176,6 @@ std::vector<uint8_t> SerializeProfile(const ImageProfile& profile) {
   return writer.bytes();
 }
 
-std::vector<uint8_t> SerializeProfileV2(const ImageProfile& profile) {
-  ByteWriter writer;
-  AppendVarintProfile(profile, kVersionVarint, &writer);
-  return writer.bytes();
-}
-
 std::vector<uint8_t> SerializeProfileFixedWidth(const ImageProfile& profile) {
   ByteWriter writer;
   writer.PutU32(kMagic);
@@ -202,31 +195,24 @@ std::vector<uint8_t> SerializeProfileFixedWidth(const ImageProfile& profile) {
 }
 
 Result<ImageProfile> DeserializeProfile(const std::vector<uint8_t>& bytes) {
-  // Magic (4) + version (1) is the minimum for any version.
-  if (bytes.size() < 5) return IoError("truncated profile");
-  uint8_t version = bytes[4];
-
-  size_t payload_size = bytes.size();
-  if (version >= kVersionChecksummed) {
-    if (bytes.size() < 5 + 4) return IoError("truncated profile");
-    payload_size = bytes.size() - 4;
-    uint32_t stored = 0;
-    for (int i = 0; i < 4; ++i) {
-      stored |= static_cast<uint32_t>(bytes[payload_size + i]) << (8 * i);
-    }
-    if (Crc32(bytes.data(), payload_size) != stored) {
-      return IoError("profile checksum mismatch");
-    }
+  // Magic (4) + version (1) + CRC32 trailer (4) is the minimum.
+  if (bytes.size() < 5 + 4) return IoError("truncated profile");
+  const size_t payload_size = bytes.size() - 4;
+  uint32_t stored = 0;
+  for (int i = 0; i < 4; ++i) {
+    stored |= static_cast<uint32_t>(bytes[payload_size + i]) << (8 * i);
+  }
+  if (Crc32(bytes.data(), payload_size) != stored) {
+    return IoError("profile checksum mismatch");
   }
 
   ByteReader reader(bytes.data(), payload_size);
   uint32_t magic = 0;
   DCPI_RETURN_IF_ERROR(reader.GetU32(&magic));
   if (magic != kMagic) return IoError("bad profile magic");
-  uint8_t version_byte = 0;
-  DCPI_RETURN_IF_ERROR(reader.GetU8(&version_byte));
-  if (version_byte != kVersionFixedWidth && version_byte != kVersionVarint &&
-      version_byte != kVersionChecksummed && version_byte != kVersionMemory) {
+  uint8_t version = 0;
+  DCPI_RETURN_IF_ERROR(reader.GetU8(&version));
+  if (version != kVersionChecksummed && version != kVersionMemory) {
     return IoError("unsupported profile version");
   }
   std::string image_name;
@@ -240,36 +226,22 @@ Result<ImageProfile> DeserializeProfile(const std::vector<uint8_t>& bytes) {
   std::memcpy(&period, &period_bits, sizeof(period));
 
   ImageProfile profile(image_name, static_cast<EventType>(event), period);
-  if (version_byte != kVersionFixedWidth) {
-    uint64_t entries = 0;
-    DCPI_RETURN_IF_ERROR(reader.GetVarint(&entries));
-    // Each entry is at least two varint bytes: an inflated count in a
-    // corrupt file cannot pass this bound.
-    if (entries > (payload_size - reader.position()) / 2) {
-      return IoError("profile entry count exceeds file size");
-    }
-    uint64_t offset = 0;
-    for (uint64_t i = 0; i < entries; ++i) {
-      uint64_t delta = 0, count = 0;
-      DCPI_RETURN_IF_ERROR(reader.GetVarint(&delta));
-      DCPI_RETURN_IF_ERROR(reader.GetVarint(&count));
-      offset += delta;
-      profile.AddSamples(offset, count);
-    }
-  } else {
-    uint64_t entries = 0;
-    DCPI_RETURN_IF_ERROR(reader.GetU64(&entries));
-    if (entries > (payload_size - reader.position()) / 16) {
-      return IoError("profile entry count exceeds file size");
-    }
-    for (uint64_t i = 0; i < entries; ++i) {
-      uint64_t offset = 0, count = 0;
-      DCPI_RETURN_IF_ERROR(reader.GetU64(&offset));
-      DCPI_RETURN_IF_ERROR(reader.GetU64(&count));
-      profile.AddSamples(offset, count);
-    }
+  uint64_t entries = 0;
+  DCPI_RETURN_IF_ERROR(reader.GetVarint(&entries));
+  // Each entry is at least two varint bytes: an inflated count in a
+  // corrupt file cannot pass this bound.
+  if (entries > (payload_size - reader.position()) / 2) {
+    return IoError("profile entry count exceeds file size");
   }
-  if (version_byte == kVersionMemory) {
+  uint64_t offset = 0;
+  for (uint64_t i = 0; i < entries; ++i) {
+    uint64_t delta = 0, count = 0;
+    DCPI_RETURN_IF_ERROR(reader.GetVarint(&delta));
+    DCPI_RETURN_IF_ERROR(reader.GetVarint(&count));
+    offset += delta;
+    profile.AddSamples(offset, count);
+  }
+  if (version == kVersionMemory) {
     DCPI_RETURN_IF_ERROR(
         ReadMemorySection(&reader, payload_size, profile.mutable_mem()));
   }
@@ -440,13 +412,6 @@ std::string ProfileDatabase::ProfileFileName(const std::string& image_name,
   return sanitized + "__" + EventTypeName(event) + ".prof";
 }
 
-std::string ProfileDatabase::LegacyProfileFileName(const std::string& image_name,
-                                                   EventType event) {
-  std::string sanitized;
-  for (char c : image_name) sanitized += (c == '/' ? '_' : c);
-  return sanitized + "__" + EventTypeName(event) + ".prof";
-}
-
 uint32_t ProfileDatabase::current_epoch() const {
   MutexLock lock(&mu_);
   return current_epoch_;
@@ -488,23 +453,11 @@ Result<uint32_t> ProfileDatabase::OpenEpoch(uint32_t epoch) {
   return epoch;
 }
 
-Status ProfileDatabase::WriteProfile(const ImageProfile& profile) {
-  if (mode_ == DbOpenMode::kReadOnly) {
-    return FailedPrecondition("database opened read-only");
-  }
-  MutexLock lock(&mu_);
-  return WriteLocked(profile, /*merge=*/true);
-}
-
 Status ProfileDatabase::ReplaceProfile(const ImageProfile& profile) {
   if (mode_ == DbOpenMode::kReadOnly) {
     return FailedPrecondition("database opened read-only");
   }
   MutexLock lock(&mu_);
-  return WriteLocked(profile, /*merge=*/false);
-}
-
-Status ProfileDatabase::WriteLocked(const ImageProfile& profile, bool merge) {
   if (!have_epoch_) {
     uint32_t epoch = next_epoch_;
     std::error_code ec;
@@ -513,33 +466,12 @@ Status ProfileDatabase::WriteLocked(const ImageProfile& profile, bool merge) {
     current_epoch_ = epoch;
     have_epoch_ = true;
   }
-  std::string dir = EpochDir(current_epoch_);
-  std::string path = dir + "/" + ProfileFileName(profile.image_name(), profile.event());
-  ImageProfile merged = profile;
-  std::string legacy =
-      dir + "/" + LegacyProfileFileName(profile.image_name(), profile.event());
-  if (legacy == path) legacy.clear();
-  if (merge) {
-    std::vector<uint8_t> existing;
-    bool have_existing = ReadFile(path, &existing).ok();
-    if (!have_existing && !legacy.empty() && ReadFile(legacy, &existing).ok()) {
-      have_existing = true;
-    }
-    if (have_existing) {
-      Result<ImageProfile> prior = DeserializeProfile(existing);
-      if (prior.ok()) merged.Merge(prior.value());
-    }
-  }
-  std::vector<uint8_t> serialized = SerializeProfile(merged);
+  std::string path = EpochDir(current_epoch_) + "/" +
+                     ProfileFileName(profile.image_name(), profile.event());
+  std::vector<uint8_t> serialized = SerializeProfile(profile);
   size_t serialized_size = serialized.size();
   DCPI_RETURN_IF_ERROR(WriteFileAtomic(path, std::move(serialized)));
   bytes_written_.fetch_add(serialized_size, std::memory_order_relaxed);
-  // Any legacy-named file is superseded (folded in when merging, replaced
-  // otherwise); drop it so the image's samples live in exactly one file.
-  if (!legacy.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(legacy, ec);
-  }
   return Status::Ok();
 }
 
@@ -600,13 +532,9 @@ std::vector<uint32_t> ProfileDatabase::ListSealedEpochs() const {
 Result<ImageProfile> ProfileDatabase::ReadProfile(uint32_t epoch,
                                                   const std::string& image_name,
                                                   EventType event) const {
-  std::string path = EpochDir(epoch) + "/" + ProfileFileName(image_name, event);
   std::vector<uint8_t> bytes;
-  Status read = ReadFile(path, &bytes);
-  if (!read.ok()) {
-    std::string legacy = EpochDir(epoch) + "/" + LegacyProfileFileName(image_name, event);
-    if (legacy == path || !ReadFile(legacy, &bytes).ok()) return read;
-  }
+  DCPI_RETURN_IF_ERROR(
+      ReadFile(EpochDir(epoch) + "/" + ProfileFileName(image_name, event), &bytes));
   return DeserializeProfile(bytes);
 }
 

@@ -7,12 +7,13 @@
 // with ~3x compression over fixed-width records.
 //
 // Durability: profile files are written with WriteFileAtomic (temp + fsync
-// + rename), and the current format (version 3) carries a CRC32 trailer.
+// + rename) and carry a CRC32 trailer (version 3, or version 4 when the
+// profile has a memory axis); no other version is read.
 // Opening a database read-write scans the existing epoch_* directories,
-// validates every profile file, quarantines corrupt or in-flight files to
-// epoch_<N>/.quarantine/, and resumes epoch numbering at max + 1 so a new
-// run never merges into a previous run's epochs. The scan's outcome is
-// exposed as a ScanReport.
+// validates every profile file, quarantines corrupt, other-version or
+// in-flight files to epoch_<N>/.quarantine/, and resumes epoch numbering
+// at max + 1 so a new run never merges into a previous run's epochs. The
+// scan's outcome is exposed as a ScanReport.
 //
 // Continuous operation: the writing daemon seals an epoch when its load
 // maps change (or on a timed roll) by atomically writing an epoch_<N>/
@@ -37,18 +38,16 @@
 namespace dcpi {
 
 // Serialization (exposed for tests and size experiments). SerializeProfile
-// emits the current version-3 format: varint body + CRC32 trailer.
-// DeserializeProfile verifies the checksum, rejects trailing bytes, and
-// still reads version 1 and 2 files.
+// emits version 3 (varint body + CRC32 trailer), or version 4 (version 3
+// plus a memory section) when the profile has a memory axis.
+// DeserializeProfile reads only those two versions; it verifies the
+// checksum and rejects trailing bytes.
 std::vector<uint8_t> SerializeProfile(const ImageProfile& profile);
 Result<ImageProfile> DeserializeProfile(const std::vector<uint8_t>& bytes);
 
-// Legacy version-2 encoding (varint body, no checksum), kept for the
-// back-compat tests and the v2-vs-v3 size comparison bench.
-std::vector<uint8_t> SerializeProfileV2(const ImageProfile& profile);
-
 // Fixed-width (non-delta, non-varint) version-1 encoding: the paper's
-// original format baseline, used by the compression comparison bench.
+// original format baseline for the compression comparison. Write-only:
+// DeserializeProfile rejects it.
 std::vector<uint8_t> SerializeProfileFixedWidth(const ImageProfile& profile);
 
 // kReadWrite runs the recovery scan with quarantine and resumes epoch
@@ -108,14 +107,12 @@ class ProfileDatabase {
   // the merged database. Refuses sealed epochs (they are immutable).
   Result<uint32_t> OpenEpoch(uint32_t epoch);
 
-  // Merges `profile` into the on-disk file for the current epoch. The write
-  // is atomic: on any failure the previous file contents remain intact.
-  Status WriteProfile(const ImageProfile& profile);
-
-  // Overwrites the on-disk file for the current epoch with `profile`
-  // (atomically; no read-merge). This is the single-writer daemon's flush
-  // primitive: the daemon keeps the epoch's cumulative profile in memory,
-  // so periodic flushes of the same epoch must replace, not re-merge.
+  // Overwrites the on-disk file for the current epoch (opening the next
+  // epoch if none is open yet) with `profile`. This is the database's one
+  // write: the daemon keeps each epoch's cumulative profile in memory, so
+  // periodic flushes of the same epoch replace rather than re-merge, and
+  // the fleet compactor writes each merged profile once. The write is
+  // atomic: on any failure the previous file contents remain intact.
   Status ReplaceProfile(const ImageProfile& profile);
 
   Result<ImageProfile> ReadProfile(uint32_t epoch, const std::string& image_name,
@@ -162,16 +159,10 @@ class ProfileDatabase {
   // "_s", so distinct image names never collide ("a/b" vs "a_b").
   static std::string ProfileFileName(const std::string& image_name, EventType event);
 
-  // The pre-escaping name ('/' replaced by '_'); reads fall back to it so
-  // databases written before the escaping change stay readable.
-  static std::string LegacyProfileFileName(const std::string& image_name,
-                                           EventType event);
-
  private:
   std::string EpochDir(uint32_t epoch) const;
   std::string SealMarkerPath(uint32_t epoch) const;
   ScanReport ScanAndRecover() const;
-  Status WriteLocked(const ImageProfile& profile, bool merge) REQUIRES(mu_);
 
   std::string root_;
   DbOpenMode mode_ = DbOpenMode::kReadWrite;

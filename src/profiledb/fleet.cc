@@ -48,10 +48,6 @@ std::vector<std::string> ListHostDirs(const std::string& root) {
 
 }  // namespace
 
-bool FleetView::IsFleetRoot(const std::string& root) {
-  return !ListHostDirs(root).empty();
-}
-
 FleetView::FleetView(std::string fleet_root) : root_(std::move(fleet_root)) {
   host_names_ = ListHostDirs(root_);
   hosts_.reserve(host_names_.size());
@@ -86,21 +82,18 @@ std::vector<uint32_t> FleetView::ListSealedEpochs() const {
   return result;
 }
 
-FleetProfile MergeHostProfiles(
-    const std::vector<std::pair<std::string, const ImageProfile*>>& parts) {
-  FleetProfile out;
-  out.hosts.reserve(parts.size());
-  for (const auto& [host, profile] : parts) {
-    out.hosts.push_back(HostContribution{host, profile->total_samples()});
-  }
+namespace {
+
+// Folds per-host profiles for one (image, event) pair into a fleet profile.
+// `parts` must be in ascending host order and non-empty.
+ImageProfile MergeHostProfiles(const std::vector<const ImageProfile*>& parts) {
   if (parts.size() == 1) {
     // Bit-exact passthrough: a 1-host fleet must read identically to its
     // shard, which a (period * weight) / weight round-trip would not give.
-    out.merged = *parts[0].second;
-    return out;
+    return *parts[0];
   }
 
-  const ImageProfile& first = *parts[0].second;
+  const ImageProfile& first = *parts[0];
   ImageProfile merged(first.image_name(), first.event(), first.mean_period());
   // (mean_period, weight) per host. Summed in sorted order so the merged
   // period is bit-identical under any permutation of hosts; the counts
@@ -108,8 +101,7 @@ FleetProfile MergeHostProfiles(
   std::vector<std::pair<double, double>> period_contribs;
   period_contribs.reserve(parts.size());
   double total_weight = 0;
-  for (const auto& [host, profile] : parts) {
-    (void)host;
+  for (const ImageProfile* profile : parts) {
     for (const auto& [offset, count] : profile->counts()) {
       merged.AddSamples(offset, count);
     }
@@ -138,23 +130,24 @@ FleetProfile MergeHostProfiles(
     }
     merged.set_mean_period(period_sum / static_cast<double>(parts.size()));
   }
-  out.merged = std::move(merged);
-  return out;
+  return merged;
 }
 
-Result<FleetProfile> FleetView::ReadProfileWithProvenance(
-    const std::vector<uint32_t>& epochs, const std::string& image_name,
-    EventType event) const {
+}  // namespace
+
+Result<ImageProfile> FleetView::ReadProfile(const std::vector<uint32_t>& epochs,
+                                            const std::string& image_name,
+                                            EventType event) const {
   // Per-host fold across epochs first (ascending, like a single database
   // read), then one cross-host merge.
   std::vector<uint32_t> sorted_epochs = epochs;
   std::sort(sorted_epochs.begin(), sorted_epochs.end());
-  std::vector<std::pair<std::string, ImageProfile>> host_profiles;
-  for (size_t i = 0; i < hosts_.size(); ++i) {
+  std::vector<ImageProfile> host_profiles;
+  for (const auto& host : hosts_) {
     ImageProfile folded;
     bool have = false;
     for (uint32_t epoch : sorted_epochs) {
-      Result<ImageProfile> one = hosts_[i]->ReadProfile(epoch, image_name, event);
+      Result<ImageProfile> one = host->ReadProfile(epoch, image_name, event);
       if (!one.ok()) {
         if (one.status().code() == StatusCode::kNotFound) continue;
         return one.status();
@@ -166,44 +159,15 @@ Result<FleetProfile> FleetView::ReadProfileWithProvenance(
         folded.Merge(one.value());
       }
     }
-    if (have) host_profiles.emplace_back(host_names_[i], std::move(folded));
+    if (have) host_profiles.push_back(std::move(folded));
   }
   if (host_profiles.empty()) {
     return NotFound("no shard has profile for image '" + image_name + "'");
   }
-  std::vector<std::pair<std::string, const ImageProfile*>> parts;
+  std::vector<const ImageProfile*> parts;
   parts.reserve(host_profiles.size());
-  for (const auto& [host, profile] : host_profiles) {
-    parts.emplace_back(host, &profile);
-  }
+  for (const ImageProfile& profile : host_profiles) parts.push_back(&profile);
   return MergeHostProfiles(parts);
-}
-
-Result<ImageProfile> FleetView::ReadProfile(const std::vector<uint32_t>& epochs,
-                                            const std::string& image_name,
-                                            EventType event) const {
-  Result<FleetProfile> fleet = ReadProfileWithProvenance(epochs, image_name, event);
-  if (!fleet.ok()) return fleet.status();
-  return std::move(fleet).value().merged;
-}
-
-Result<std::vector<std::string>> FleetView::ListProfiles(uint32_t epoch) const {
-  std::set<std::string> names;
-  bool any = false;
-  for (const auto& host : hosts_) {
-    Result<std::vector<std::string>> host_names = host->ListProfiles(epoch);
-    if (!host_names.ok()) continue;  // shard never opened this epoch
-    any = true;
-    for (std::string& name : host_names.value()) names.insert(std::move(name));
-  }
-  if (!any) return IoError("no shard has epoch " + std::to_string(epoch));
-  return std::vector<std::string>(names.begin(), names.end());
-}
-
-uint64_t FleetView::DiskUsageBytes() const {
-  uint64_t total = 0;
-  for (const auto& host : hosts_) total += host->DiskUsageBytes();
-  return total;
 }
 
 Status CompactFleet(const FleetView& fleet, const std::string& out_root,
@@ -269,16 +233,14 @@ Status CompactFleet(const FleetView& fleet, const std::string& out_root,
     std::map<size_t, uint64_t> host_samples;
     for (const auto& [key, indices] : groups) {
       (void)key;
-      std::vector<std::pair<std::string, const ImageProfile*>> parts;
+      std::vector<const ImageProfile*> parts;
       parts.reserve(indices.size());
       for (size_t i : indices) {
-        parts.emplace_back(fleet.host_names()[tasks[i].host_index],
-                           &slots[i].value());
+        parts.push_back(&slots[i].value());
         host_samples[tasks[i].host_index] +=
             slots[i].value().total_samples();
       }
-      FleetProfile merged = MergeHostProfiles(parts);
-      DCPI_RETURN_IF_ERROR(out.ReplaceProfile(merged.merged));
+      DCPI_RETURN_IF_ERROR(out.ReplaceProfile(MergeHostProfiles(parts)));
     }
 
     std::string provenance;

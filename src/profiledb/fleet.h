@@ -6,8 +6,7 @@
 // (dcpi_sim --fleet runs N such instances); a FleetView opens every shard
 // read-only and serves fleet-wide reads by merge-on-read: per-host profiles
 // are folded across epochs (ascending, the single-database rule), then
-// across hosts into one fleet profile with a sample-weighted mean period
-// and per-host provenance counts.
+// across hosts into one fleet profile with a sample-weighted mean period.
 //
 // Determinism: hosts are always iterated in ascending numeric id order, and
 // the cross-host period fold sorts its (period, weight) contributions by
@@ -18,10 +17,11 @@
 //
 // Compaction: CompactFleet materializes the merge-on-read result as a
 // regular ProfileDatabase (same epoch numbering, one merged file per
-// (image, event) pair, sealed epochs, per-epoch .provenance sidecar) using
-// the existing atomic-write + CRC path — so the plain single-database tools
-// can read a fleet that was compacted once, byte-for-byte equal to what
-// --fleet merge-on-read would have shown them.
+// (image, event) pair, sealed epochs) using the existing atomic-write + CRC
+// path — so the plain single-database tools can read a fleet that was
+// compacted once, byte-for-byte equal to what --fleet merge-on-read would
+// have shown them. Each compacted epoch's .provenance sidecar is the fleet's
+// one record of which host contributed how many samples.
 
 #ifndef SRC_PROFILEDB_FLEET_H_
 #define SRC_PROFILEDB_FLEET_H_
@@ -35,23 +35,8 @@
 
 namespace dcpi {
 
-// One host's contribution to a fleet-merged profile (provenance).
-struct HostContribution {
-  std::string host;      // shard directory name, e.g. "host_3"
-  uint64_t samples = 0;  // samples this host contributed to the merge
-};
-
-struct FleetProfile {
-  ImageProfile merged;
-  // Contributing hosts only, ascending host order.
-  std::vector<HostContribution> hosts;
-};
-
 class FleetView {
  public:
-  // True when `root` contains at least one host_<id> subdirectory.
-  static bool IsFleetRoot(const std::string& root);
-
   // Opens every host_<id> shard under `fleet_root` read-only, in ascending
   // numeric id order. A fleet with zero shards is reported via num_hosts()
   // == 0, not an exception, so tools can print a usage-grade error.
@@ -70,20 +55,13 @@ class FleetView {
   std::vector<uint32_t> ListSealedEpochs() const;
 
   // Merge-on-read: folds the (image, event) profile across `epochs` per
-  // host (ascending epoch order), then across hosts. NotFound if no shard
-  // has the profile in any requested epoch.
+  // host (ascending epoch order), then across hosts. A single contributing
+  // host's profile is returned bit-exact, so a 1-host fleet reads
+  // identically to its shard. NotFound if no shard has the profile in any
+  // requested epoch.
   Result<ImageProfile> ReadProfile(const std::vector<uint32_t>& epochs,
                                    const std::string& image_name,
                                    EventType event) const;
-  // Same, with per-host provenance counts.
-  Result<FleetProfile> ReadProfileWithProvenance(
-      const std::vector<uint32_t>& epochs, const std::string& image_name,
-      EventType event) const;
-
-  // Union of profile file names across shards for one epoch, sorted.
-  Result<std::vector<std::string>> ListProfiles(uint32_t epoch) const;
-
-  uint64_t DiskUsageBytes() const;
 
  private:
   std::string root_;
@@ -91,21 +69,15 @@ class FleetView {
   std::vector<std::unique_ptr<ProfileDatabase>> hosts_;  // same order
 };
 
-// Folds per-host profiles for one (image, event) pair into a fleet profile.
-// `parts` must be in ascending host order and non-empty; a single part is
-// returned unchanged (bit-exact), so a 1-host fleet reads identically to
-// its shard. Exposed for the compactor and the determinism tests.
-FleetProfile MergeHostProfiles(
-    const std::vector<std::pair<std::string, const ImageProfile*>>& parts);
-
 // Materializes fleet merge-on-read into a regular ProfileDatabase at
 // `out_root`: for each requested epoch, every shard's profiles are read,
-// grouped by (image, event), merged with MergeHostProfiles, written through
+// grouped by (image, event), merged as ReadProfile merges, written through
 // the atomic-write/CRC path under the same epoch number, recorded in an
-// epoch_<k>/.provenance sidecar (one "host_<id> <samples>" line per host),
-// and sealed. Reads fan out over `jobs` worker threads; output bytes are
-// identical for any jobs count. Epochs already sealed in the output
-// database are skipped, so the pass is incremental and restartable.
+// epoch_<k>/.provenance sidecar (one "host_<id> <samples>" line per
+// contributing host), and sealed. Reads fan out over `jobs` worker
+// threads; output bytes are identical for any jobs count. Epochs already
+// sealed in the output database are skipped, so the pass is incremental
+// and restartable.
 Status CompactFleet(const FleetView& fleet, const std::string& out_root,
                     const std::vector<uint32_t>& epochs, int jobs = 0);
 

@@ -10,6 +10,8 @@
 #include <fstream>
 #include <string>
 
+#include "tests/scratch_dir.h"
+
 namespace dcpi {
 namespace {
 
@@ -25,13 +27,8 @@ int RunTool(const std::string& args) {
 
 class CliExitTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    root_ = "/tmp/dcpi_cli_exit_test";
-    std::filesystem::remove_all(root_);
-    std::filesystem::create_directories(root_);
-  }
-  void TearDown() override { std::filesystem::remove_all(root_); }
-  std::string root_;
+  ScratchDir scratch_;
+  const std::string root_ = scratch_.path();
 };
 
 TEST_F(CliExitTest, UsageErrorsExitTwo) {

@@ -1,7 +1,7 @@
 // Fleet view tests: merge-on-read determinism under host permutation,
 // compaction equivalence with merge-on-read (and with itself across jobs
-// counts), 1-host fleets matching plain single-database reads, provenance,
-// and the mixed-seal epoch rules.
+// counts), 1-host fleets matching plain single-database reads, the
+// compactor's provenance sidecar, and the mixed-seal epoch rules.
 
 #include <gtest/gtest.h>
 
@@ -14,26 +14,19 @@
 #include "src/profiledb/fleet.h"
 #include "src/support/binary_io.h"
 #include "src/tools/dcpiprof.h"
+#include "tests/scratch_dir.h"
 
 namespace dcpi {
 namespace {
 
 class FleetTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    root_ = std::string("/tmp/dcpi_fleet_test_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(root_);
-    std::filesystem::create_directories(root_);
-  }
-  void TearDown() override { std::filesystem::remove_all(root_); }
-
   // Writes `profiles` as one sealed epoch of shard host_<id> under `fleet`.
   static void WriteShard(const std::string& fleet, uint32_t id,
                          const std::vector<ImageProfile>& profiles) {
     ProfileDatabase db(fleet + "/host_" + std::to_string(id));
     ASSERT_TRUE(db.NewEpoch().ok());
-    for (const ImageProfile& p : profiles) ASSERT_TRUE(db.WriteProfile(p).ok());
+    for (const ImageProfile& p : profiles) ASSERT_TRUE(db.ReplaceProfile(p).ok());
     ASSERT_TRUE(db.SealCurrentEpoch().ok());
   }
 
@@ -44,7 +37,8 @@ class FleetTest : public ::testing::Test {
     return p;
   }
 
-  std::string root_;
+  ScratchDir scratch_;
+  const std::string root_ = scratch_.path();
 };
 
 TEST_F(FleetTest, MergeIsByteIdenticalUnderHostPermutation) {
@@ -87,21 +81,6 @@ TEST_F(FleetTest, SingleHostFleetReadsBitExact) {
   Result<ImageProfile> direct = shard.ReadProfile(0, "app", EventType::kCycles);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(SerializeProfile(merged.value()), SerializeProfile(direct.value()));
-}
-
-TEST_F(FleetTest, ProvenanceReportsPerHostSamples) {
-  WriteShard(root_, 0, {MakeProfile(1000, {{0, 10}})});
-  WriteShard(root_, 1, {MakeProfile(1000, {{0, 32}})});
-  FleetView view(root_);
-  Result<FleetProfile> fleet =
-      view.ReadProfileWithProvenance({0}, "app", EventType::kCycles);
-  ASSERT_TRUE(fleet.ok());
-  ASSERT_EQ(fleet.value().hosts.size(), 2u);
-  EXPECT_EQ(fleet.value().hosts[0].host, "host_0");
-  EXPECT_EQ(fleet.value().hosts[0].samples, 10u);
-  EXPECT_EQ(fleet.value().hosts[1].host, "host_1");
-  EXPECT_EQ(fleet.value().hosts[1].samples, 32u);
-  EXPECT_EQ(fleet.value().merged.total_samples(), 42u);
 }
 
 TEST_F(FleetTest, EmptyShardProfilesMergeToFiniteMeanPeriod) {
@@ -178,7 +157,7 @@ TEST_F(FleetTest, MixedSealEpochsAreNotFleetSealed) {
   {
     ProfileDatabase open_shard(root_ + "/host_1");
     ASSERT_TRUE(open_shard.NewEpoch().ok());
-    ASSERT_TRUE(open_shard.WriteProfile(MakeProfile(1000, {{0, 2}})).ok());
+    ASSERT_TRUE(open_shard.ReplaceProfile(MakeProfile(1000, {{0, 2}})).ok());
     // not sealed
   }
   FleetView view(root_);
@@ -231,8 +210,7 @@ TEST_F(FleetTest, HostDirsSortNumerically) {
   FleetView view(root_);
   EXPECT_EQ(view.host_names(),
             (std::vector<std::string>{"host_0", "host_2", "host_10"}));
-  EXPECT_TRUE(FleetView::IsFleetRoot(root_));
-  EXPECT_FALSE(FleetView::IsFleetRoot(root_ + "/not_a_host"));
+  EXPECT_EQ(FleetView(root_ + "/not_a_host").num_hosts(), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // CRC-based corruption quarantine on reopen, epoch-numbering recovery, the
 // daemon's retry-then-report flush path, and adversarial deserialization
 // inputs (truncation at every byte boundary, trailing garbage, bad event
-// ids, varint overflow).
+// ids, varint overflow, unsupported versions, malformed memory sections).
+// Inputs aimed at a structural check carry a valid CRC32 trailer, so the
+// check itself, not the checksum, must reject them.
 
 #include <gtest/gtest.h>
 
@@ -17,22 +19,16 @@
 #include "src/profiledb/fleet.h"
 #include "src/support/binary_io.h"
 #include "src/support/crc32.h"
+#include "tests/scratch_dir.h"
 
 namespace dcpi {
 namespace {
 
 class ProfileDbCrashTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    root_ = std::string("/tmp/dcpi_crash_test_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(root_);
-  }
-  void TearDown() override {
-    SetFaultInjectingEnv(nullptr);
-    std::filesystem::remove_all(root_);
-  }
-  std::string root_;
+  void TearDown() override { SetFaultInjectingEnv(nullptr); }
+  ScratchDir scratch_;
+  const std::string root_ = scratch_.path();
 };
 
 ImageProfile MakeProfile(const std::string& name, uint64_t samples_at_zero) {
@@ -47,6 +43,21 @@ uint64_t SamplesOrZero(const ProfileDatabase& db, uint32_t epoch,
   return profile.ok() ? profile.value().SamplesAt(0) : 0;
 }
 
+// A serialized profile without its 4-byte CRC32 trailer.
+std::vector<uint8_t> PayloadOf(std::vector<uint8_t> serialized) {
+  serialized.resize(serialized.size() - 4);
+  return serialized;
+}
+
+// Appends a valid CRC32 trailer, so a malformed payload gets past the
+// checksum to the structural check a test targets.
+std::vector<uint8_t> WithCrc(std::vector<uint8_t> payload) {
+  ByteWriter trailer;
+  trailer.PutU32(Crc32(payload));
+  payload.insert(payload.end(), trailer.bytes().begin(), trailer.bytes().end());
+  return payload;
+}
+
 // The acceptance property: for every injected fault point, reopening the
 // database succeeds, quarantines at most the in-flight file, and each
 // image's total is either its pre-flush or its post-flush value — never a
@@ -56,39 +67,40 @@ TEST_F(ProfileDbCrashTest, EveryFaultPointLeavesEpochConsistent) {
                                 WriteFault::kCrashBeforeRename};
   for (WriteFault fault : kFaults) {
     for (int nth = 1; nth <= 2; ++nth) {
-      SCOPED_TRACE("fault=" + std::to_string(static_cast<int>(fault)) +
-                   " nth=" + std::to_string(nth));
-      std::filesystem::remove_all(root_);
+      const std::string db_root = root_ + "/fault" +
+                                  std::to_string(static_cast<int>(fault)) +
+                                  "_nth" + std::to_string(nth);
+      SCOPED_TRACE(db_root);
       {
-        ProfileDatabase db(root_);
+        ProfileDatabase db(db_root);
         // Flush 1: the pre-flush state (a=5, b=7 in epoch 0).
-        ASSERT_TRUE(db.WriteProfile(MakeProfile("a", 5)).ok());
-        ASSERT_TRUE(db.WriteProfile(MakeProfile("b", 7)).ok());
+        ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 5)).ok());
+        ASSERT_TRUE(db.ReplaceProfile(MakeProfile("b", 7)).ok());
         // Flush 2 with a fault injected at write `nth`: at most one of the
         // two writes fails, and the failure is reported, not swallowed.
         FaultInjectingEnv env;
         env.FailNthWrite(nth, fault);
         SetFaultInjectingEnv(&env);
-        Status wrote_a = db.WriteProfile(MakeProfile("a", 3));
-        Status wrote_b = db.WriteProfile(MakeProfile("b", 4));
+        Status wrote_a = db.ReplaceProfile(MakeProfile("a", 3));
+        Status wrote_b = db.ReplaceProfile(MakeProfile("b", 4));
         SetFaultInjectingEnv(nullptr);
         EXPECT_NE(wrote_a.ok(), nth == 1);
         EXPECT_NE(wrote_b.ok(), nth == 2);
       }
       // Simulated crash: reopen from disk alone.
-      ProfileDatabase db(root_);
+      ProfileDatabase db(db_root);
       const ScanReport& report = db.scan_report();
       EXPECT_LE(report.files_quarantined, 1u);
       EXPECT_EQ(report.next_epoch, 1u);
       uint64_t a = SamplesOrZero(db, 0, "a");
       uint64_t b = SamplesOrZero(db, 0, "b");
-      EXPECT_TRUE(a == 5 || a == 8) << "a=" << a;
-      EXPECT_TRUE(b == 7 || b == 11) << "b=" << b;
+      EXPECT_TRUE(a == 5 || a == 3) << "a=" << a;
+      EXPECT_TRUE(b == 7 || b == 4) << "b=" << b;
       // The write that was not faulted must have committed.
       if (nth == 1) {
-        EXPECT_EQ(b, 11u);
+        EXPECT_EQ(b, 4u);
       } else {
-        EXPECT_EQ(a, 8u);
+        EXPECT_EQ(a, 3u);
       }
     }
   }
@@ -98,9 +110,9 @@ TEST_F(ProfileDbCrashTest, CorruptFileIsQuarantinedOnReopen) {
   std::string path;
   {
     ProfileDatabase db(root_);
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("a", 5)).ok());
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("b", 7)).ok());
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("c", 9)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 5)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("b", 7)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("c", 9)).ok());
     path = db.root() + "/epoch_0/" +
            ProfileDatabase::ProfileFileName("b", EventType::kCycles);
   }
@@ -132,7 +144,7 @@ TEST_F(ProfileDbCrashTest, TruncatedOnDiskFileIsQuarantined) {
   std::string path;
   {
     ProfileDatabase db(root_);
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("a", 5)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 5)).ok());
     path = db.root() + "/epoch_0/" +
            ProfileDatabase::ProfileFileName("a", EventType::kCycles);
   }
@@ -151,14 +163,14 @@ TEST_F(ProfileDbCrashTest, TruncatedOnDiskFileIsQuarantined) {
 TEST_F(ProfileDbCrashTest, ReopenResumesAtNextEpoch) {
   {
     ProfileDatabase db(root_);
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("a", 5)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 5)).ok());
     ASSERT_TRUE(db.NewEpoch().ok());
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("a", 7)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 7)).ok());
   }
   ProfileDatabase db(root_);
   EXPECT_EQ(db.scan_report().epochs_found, 2u);
   EXPECT_EQ(db.scan_report().next_epoch, 2u);
-  ASSERT_TRUE(db.WriteProfile(MakeProfile("a", 11)).ok());
+  ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 11)).ok());
   EXPECT_EQ(db.current_epoch(), 2u);
   // The previous run's epochs are untouched: no cross-run merge.
   EXPECT_EQ(SamplesOrZero(db, 0, "a"), 5u);
@@ -173,7 +185,7 @@ TEST_F(ProfileDbCrashTest, InterruptedFlushDoesNotAdvanceEpochNumbering) {
     FaultInjectingEnv env;
     env.FailNthWrite(1, WriteFault::kTruncatedTemp);
     SetFaultInjectingEnv(&env);
-    EXPECT_FALSE(db.WriteProfile(MakeProfile("a", 5)).ok());
+    EXPECT_FALSE(db.ReplaceProfile(MakeProfile("a", 5)).ok());
     SetFaultInjectingEnv(nullptr);
   }
   // Only a tmp file exists in epoch 0; it is quarantined and the epoch dir
@@ -234,7 +246,7 @@ TEST_F(ProfileDbCrashTest, DaemonFlushReportsPersistentFailureAndContinues) {
   EXPECT_EQ(imiss.value().SamplesAt(0), 20u);
 }
 
-// ---- Legacy compatibility ----
+// ---- Recovery scan ----
 
 TEST_F(ProfileDbCrashTest, ReadOnlyScanRescansWhenEpochSealsMidScan) {
   // Race regression: a concurrent writer's final flush and .sealed marker
@@ -245,7 +257,7 @@ TEST_F(ProfileDbCrashTest, ReadOnlyScanRescansWhenEpochSealsMidScan) {
   {
     ProfileDatabase db(root_);
     ASSERT_TRUE(db.NewEpoch().ok());
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("early", 3)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("early", 3)).ok());
     // not sealed: the writer is still mid-epoch
   }
   FaultInjectingEnv env;
@@ -286,7 +298,7 @@ TEST_F(ProfileDbCrashTest, ReadWriteScanDoesNotRescan) {
   {
     ProfileDatabase db(root_);
     ASSERT_TRUE(db.NewEpoch().ok());
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("app", 2)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("app", 2)).ok());
     ASSERT_TRUE(db.SealCurrentEpoch().ok());
   }
   FaultInjectingEnv env;
@@ -299,44 +311,34 @@ TEST_F(ProfileDbCrashTest, ReadWriteScanDoesNotRescan) {
   EXPECT_EQ(reopened.scan_report().files_checked, 1u);
 }
 
-TEST_F(ProfileDbCrashTest, LegacyFileNamesAndFormatsStayReadable) {
-  // A database written before this change: v2 bytes under the old
-  // '/'-to-'_' file name.
-  ImageProfile old_profile("a/b", EventType::kCycles, 1000.0);
-  old_profile.AddSamples(0, 5);
-  old_profile.AddSamples(8, 2);
+TEST_F(ProfileDbCrashTest, OtherVersionFileIsQuarantinedOnlyByReadWriteOpen) {
+  // A version-2 file (the varint body without a CRC32 trailer) in an
+  // epoch. Only versions 3 and 4 are read, so it is not a valid profile.
+  std::vector<uint8_t> v2 = PayloadOf(SerializeProfile(MakeProfile("app", 5)));
+  v2[4] = 2;
+  const std::string name = ProfileDatabase::ProfileFileName("app", EventType::kCycles);
   std::filesystem::create_directories(root_ + "/epoch_0");
-  std::string legacy_path =
-      root_ + "/epoch_0/" +
-      ProfileDatabase::LegacyProfileFileName("a/b", EventType::kCycles);
-  ASSERT_TRUE(WriteFile(legacy_path, SerializeProfileV2(old_profile)).ok());
+  ASSERT_TRUE(WriteFile(root_ + "/epoch_0/" + name, v2).ok());
 
+  // A read-only open leaves the file where it is and cannot read it.
+  {
+    ProfileDatabase reader(root_, DbOpenMode::kReadOnly);
+    EXPECT_EQ(reader.scan_report().files_checked, 1u);
+    EXPECT_EQ(reader.scan_report().files_recovered, 0u);
+    EXPECT_EQ(reader.scan_report().files_quarantined, 0u);
+    EXPECT_TRUE(std::filesystem::exists(root_ + "/epoch_0/" + name));
+    EXPECT_FALSE(reader.ReadProfile(0, "app", EventType::kCycles).ok());
+  }
+
+  // A read-write open moves it to the epoch's quarantine, kept intact.
   ProfileDatabase db(root_);
-  EXPECT_EQ(db.scan_report().files_recovered, 1u);
-  EXPECT_EQ(db.scan_report().files_quarantined, 0u);
-  Result<ImageProfile> read = db.ReadProfile(0, "a/b", EventType::kCycles);
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read.value().SamplesAt(0), 5u);
-  EXPECT_EQ(read.value().SamplesAt(8), 2u);
-}
-
-TEST_F(ProfileDbCrashTest, WriteMergesLegacyNamedFileInCurrentEpoch) {
-  ProfileDatabase db(root_);
-  ASSERT_TRUE(db.NewEpoch().ok());
-  // A legacy-named v2 file appears in the epoch the daemon is writing to
-  // (a database upgraded mid-run); the next write must fold it in rather
-  // than splitting the image's samples across two files.
-  ImageProfile old_profile("a/b", EventType::kCycles, 1000.0);
-  old_profile.AddSamples(0, 5);
-  ASSERT_TRUE(WriteFile(root_ + "/epoch_0/" +
-                            ProfileDatabase::LegacyProfileFileName(
-                                "a/b", EventType::kCycles),
-                        SerializeProfileV2(old_profile)).ok());
-
-  ImageProfile update("a/b", EventType::kCycles, 1000.0);
-  update.AddSamples(0, 3);
-  ASSERT_TRUE(db.WriteProfile(update).ok());
-  EXPECT_EQ(SamplesOrZero(db, 0, "a/b"), 8u);
+  EXPECT_EQ(db.scan_report().files_quarantined, 1u);
+  EXPECT_EQ(db.scan_report().files_recovered, 0u);
+  EXPECT_FALSE(std::filesystem::exists(root_ + "/epoch_0/" + name));
+  std::vector<uint8_t> kept;
+  ASSERT_TRUE(ReadFile(root_ + "/epoch_0/.quarantine/" + name, &kept).ok());
+  EXPECT_EQ(kept, v2);
+  EXPECT_FALSE(db.ReadProfile(0, "app", EventType::kCycles).ok());
 }
 
 // ---- Adversarial deserialization ----
@@ -357,72 +359,71 @@ TEST(DeserializeAdversarial, TruncationAtEveryByteBoundaryIsAnError) {
   EXPECT_TRUE(DeserializeProfile(bytes).ok());
 }
 
-TEST(DeserializeAdversarial, LegacyTruncationIsAnErrorNotAPartialProfile) {
-  // v2 has no checksum, so truncation must be caught structurally; a
-  // truncated file must never come back as a success with fewer counts.
-  std::vector<uint8_t> bytes = SerializeProfileV2(SampleRichProfile());
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
-    EXPECT_FALSE(DeserializeProfile(prefix).ok()) << "prefix of " << len;
-  }
-  EXPECT_TRUE(DeserializeProfile(bytes).ok());
+// Magic, version, image name, event and period: the fixed profile header.
+ByteWriter ProfileHeader(uint8_t version, uint8_t event = 0) {
+  ByteWriter writer;
+  writer.PutU32(0x44435049);
+  writer.PutU8(version);
+  writer.PutString("img");
+  writer.PutU8(event);
+  writer.PutU64(0);
+  return writer;
+}
+
+// Asserts that the check reporting `message` rejects `bytes`.
+void ExpectRejectedWith(const std::vector<uint8_t>& bytes, const std::string& message) {
+  Result<ImageProfile> result = DeserializeProfile(bytes);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find(message), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(DeserializeAdversarial, TrailingGarbageIsAnError) {
-  for (std::vector<uint8_t> bytes :
-       {SerializeProfile(SampleRichProfile()),
-        SerializeProfileV2(SampleRichProfile()),
-        SerializeProfileFixedWidth(SampleRichProfile())}) {
-    bytes.push_back(0x00);
-    EXPECT_FALSE(DeserializeProfile(bytes).ok());
+  // After the trailer, the CRC no longer matches.
+  std::vector<uint8_t> bytes = SerializeProfile(SampleRichProfile());
+  bytes.push_back(0x00);
+  ExpectRejectedWith(bytes, "profile checksum mismatch");
+  // Inside a CRC-valid payload, the parser must notice the extra byte.
+  std::vector<uint8_t> payload = PayloadOf(SerializeProfile(SampleRichProfile()));
+  payload.push_back(0x00);
+  ExpectRejectedWith(WithCrc(payload), "trailing bytes in profile");
+}
+
+TEST(DeserializeAdversarial, OnlyVersionsThreeAndFourAreRead) {
+  // Version 1 is the fixed-width encoding SerializeProfileFixedWidth still
+  // writes for size comparisons; version 2 is the version-3 body without
+  // its trailer; version 5 does not exist. Each carries a valid CRC here.
+  ExpectRejectedWith(WithCrc(SerializeProfileFixedWidth(SampleRichProfile())),
+                     "unsupported profile version");
+  std::vector<uint8_t> payload = PayloadOf(SerializeProfile(SampleRichProfile()));
+  for (uint8_t version : {2, 5}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    payload[4] = version;
+    ExpectRejectedWith(WithCrc(payload), "unsupported profile version");
   }
 }
 
 TEST(DeserializeAdversarial, BadEventIdIsAnError) {
-  ByteWriter writer;
-  writer.PutU32(0x44435049);
-  writer.PutU8(2);
-  writer.PutString("img");
-  writer.PutU8(250);  // not a valid EventType
-  writer.PutU64(0);
+  ByteWriter writer = ProfileHeader(3, /*event=*/250);  // not a valid EventType
   writer.PutVarint(0);
-  EXPECT_FALSE(DeserializeProfile(writer.bytes()).ok());
+  ExpectRejectedWith(WithCrc(writer.bytes()), "bad event type");
 }
 
 TEST(DeserializeAdversarial, VarintOverflowIsAnError) {
   // A 10-byte varint whose final byte carries bits beyond bit 63, in the
-  // entry-count position of a v2 profile.
-  ByteWriter writer;
-  writer.PutU32(0x44435049);
-  writer.PutU8(2);
-  writer.PutString("img");
-  writer.PutU8(0);
-  writer.PutU64(0);
+  // entry-count position.
+  ByteWriter writer = ProfileHeader(3);
   for (int i = 0; i < 9; ++i) writer.PutU8(0xff);
   writer.PutU8(0x7f);  // bits 63..69 set: overflow
-  EXPECT_FALSE(DeserializeProfile(writer.bytes()).ok());
+  ExpectRejectedWith(WithCrc(writer.bytes()), "varint overflow");
 }
 
 TEST(DeserializeAdversarial, InflatedEntryCountIsRejectedWithoutAllocating) {
   // A garbage entry count far beyond what the file could hold must fail
   // fast instead of looping or resizing gigabytes.
-  ByteWriter writer;
-  writer.PutU32(0x44435049);
-  writer.PutU8(2);
-  writer.PutString("img");
-  writer.PutU8(0);
-  writer.PutU64(0);
+  ByteWriter writer = ProfileHeader(3);
   writer.PutVarint(uint64_t{1} << 60);
-  EXPECT_FALSE(DeserializeProfile(writer.bytes()).ok());
-
-  ByteWriter fixed;
-  fixed.PutU32(0x44435049);
-  fixed.PutU8(1);
-  fixed.PutString("img");
-  fixed.PutU8(0);
-  fixed.PutU64(0);
-  fixed.PutU64(uint64_t{1} << 60);
-  EXPECT_FALSE(DeserializeProfile(fixed.bytes()).ok());
+  ExpectRejectedWith(WithCrc(writer.bytes()), "profile entry count exceeds file size");
 }
 
 TEST(DeserializeAdversarial, EmptyAndTinyInputsAreErrors) {
@@ -519,16 +520,53 @@ TEST(MemorySection, CrossVersionMergeCarriesTheMemoryAxis) {
   EXPECT_EQ(SerializeProfile(merged2), SerializeProfile(merged));
 }
 
+// A version-4 payload with no PC samples and one data line: every counter
+// is zero, and the three masks are the given values.
+std::vector<uint8_t> OneLineMemPayload(uint64_t bucket_mask, uint64_t cpu_mask,
+                                       uint64_t offset_mask) {
+  ByteWriter writer = ProfileHeader(4);
+  writer.PutVarint(0);  // PC entries
+  writer.PutVarint(1);  // data lines
+  writer.PutVarint(0);  // line delta
+  for (int level = 0; level < kNumMemLevels; ++level) writer.PutVarint(0);
+  writer.PutVarint(0);  // TLB misses
+  writer.PutVarint(0);  // latency sum
+  writer.PutVarint(bucket_mask);
+  for (int bucket = 0; bucket < kMemLatencyBuckets; ++bucket) {
+    if ((bucket_mask >> bucket & 1) != 0) writer.PutVarint(1);
+  }
+  writer.PutVarint(cpu_mask);
+  writer.PutVarint(offset_mask);
+  return writer.bytes();
+}
+
+TEST(MemorySection, MalformedSectionsBehindAValidCrcAreRejected) {
+  // In-range masks parse: the rejections below come from the masks alone.
+  EXPECT_TRUE(
+      DeserializeProfile(WithCrc(OneLineMemPayload(0x8001, 0xffffffff, 0xff))).ok());
+
+  ByteWriter inflated = ProfileHeader(4);
+  inflated.PutVarint(0);                  // PC entries
+  inflated.PutVarint(uint64_t{1} << 40);  // data lines
+  ExpectRejectedWith(WithCrc(inflated.bytes()), "memory line count exceeds file size");
+
+  ExpectRejectedWith(WithCrc(OneLineMemPayload(1u << kMemLatencyBuckets, 1, 1)),
+                     "bad latency bucket mask");
+  ExpectRejectedWith(WithCrc(OneLineMemPayload(0, uint64_t{1} << 32, 1)),
+                     "bad memory line mask");
+  ExpectRejectedWith(WithCrc(OneLineMemPayload(0, 1, 1u << 8)), "bad memory line mask");
+}
+
 TEST(MemorySection, FleetMergesMixedVersionShards) {
   // host_0 collected without memory sampling (v3 on disk), host_1 with it
   // (v4): the fleet-wide merge-on-read carries host_1's memory axis and
   // sums both hosts' PC samples.
-  const std::string root = "/tmp/dcpi_crash_test_mixed_fleet";
-  std::filesystem::remove_all(root);
+  ScratchDir scratch;
+  const std::string& root = scratch.path();
   auto write_shard = [&](uint32_t id, const ImageProfile& profile) {
     ProfileDatabase db(root + "/host_" + std::to_string(id));
     ASSERT_TRUE(db.NewEpoch().ok());
-    ASSERT_TRUE(db.WriteProfile(profile).ok());
+    ASSERT_TRUE(db.ReplaceProfile(profile).ok());
     ASSERT_TRUE(db.SealCurrentEpoch().ok());
   };
   write_shard(0, SampleRichProfile());
@@ -541,7 +579,6 @@ TEST(MemorySection, FleetMergesMixedVersionShards) {
   EXPECT_EQ(merged.value().SamplesAt(0), 200u);
   EXPECT_EQ(merged.value().mem().total_accesses(), 6u);
   EXPECT_EQ(merged.value().mem().num_lines(), 4u);
-  std::filesystem::remove_all(root);
 }
 
 }  // namespace

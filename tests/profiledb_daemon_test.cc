@@ -5,27 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 
 #include "src/daemon/daemon.h"
 #include "src/isa/assembler.h"
 #include "src/profiledb/database.h"
 #include "src/support/rng.h"
+#include "tests/scratch_dir.h"
 
 namespace dcpi {
 namespace {
 
 class DbTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Unique per-test directory: the cases run concurrently under ctest -j
-    // and must not collide in SetUp/TearDown remove_all.
-    root_ = std::string("/tmp/dcpi_db_test_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(root_);
-  }
-  void TearDown() override { std::filesystem::remove_all(root_); }
-  std::string root_;
+  ScratchDir scratch_;
+  const std::string root_ = scratch_.path();
 };
 
 TEST_F(DbTest, ProfileSerializationRoundTripProperty) {
@@ -56,33 +49,15 @@ TEST_F(DbTest, VarintFormatCompressesVsFixedWidth) {
   EXPECT_LT(varint_size * 3, fixed_size + 100);
 }
 
-TEST_F(DbTest, WriteMergesWithExistingFile) {
-  ProfileDatabase db(root_);
-  ImageProfile a("img", EventType::kCycles, 1000);
-  a.AddSamples(0, 5);
-  a.AddSamples(8, 2);
-  ASSERT_TRUE(db.WriteProfile(a).ok());
-  ImageProfile b("img", EventType::kCycles, 1000);
-  b.AddSamples(0, 3);
-  b.AddSamples(16, 1);
-  ASSERT_TRUE(db.WriteProfile(b).ok());
-
-  Result<ImageProfile> merged = db.ReadProfile(0, "img", EventType::kCycles);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged.value().SamplesAt(0), 8u);
-  EXPECT_EQ(merged.value().SamplesAt(8), 2u);
-  EXPECT_EQ(merged.value().SamplesAt(16), 1u);
-}
-
 TEST_F(DbTest, EpochsAreSeparate) {
   ProfileDatabase db(root_);
   ImageProfile a("img", EventType::kCycles, 1000);
   a.AddSamples(0, 1);
-  ASSERT_TRUE(db.WriteProfile(a).ok());
+  ASSERT_TRUE(db.ReplaceProfile(a).ok());
   ASSERT_TRUE(db.NewEpoch().ok());
   ImageProfile b("img", EventType::kCycles, 1000);
   b.AddSamples(0, 7);
-  ASSERT_TRUE(db.WriteProfile(b).ok());
+  ASSERT_TRUE(db.ReplaceProfile(b).ok());
   EXPECT_EQ(db.ReadProfile(0, "img", EventType::kCycles).value().SamplesAt(0), 1u);
   EXPECT_EQ(db.ReadProfile(1, "img", EventType::kCycles).value().SamplesAt(0), 7u);
   EXPECT_GT(db.DiskUsageBytes(), 0u);
@@ -91,11 +66,8 @@ TEST_F(DbTest, EpochsAreSeparate) {
 TEST_F(DbTest, FileNamesEscapeSlashesAndUnderscores) {
   EXPECT_EQ(ProfileDatabase::ProfileFileName("/usr/shlib/libm.so", EventType::kCycles),
             "_susr_sshlib_slibm.so__cycles.prof");
-  EXPECT_EQ(ProfileDatabase::LegacyProfileFileName("/usr/shlib/libm.so",
-                                                   EventType::kCycles),
-            "_usr_shlib_libm.so__cycles.prof");
-  // The old '/'-to-'_' sanitizer mapped "a/b" and "a_b" to the same file;
-  // the escaping scheme must keep them distinct.
+  // A plain '/'-to-'_' sanitizer would map "a/b" and "a_b" to the same
+  // file; the escaping scheme must keep them distinct.
   EXPECT_NE(ProfileDatabase::ProfileFileName("a/b", EventType::kCycles),
             ProfileDatabase::ProfileFileName("a_b", EventType::kCycles));
   EXPECT_NE(ProfileDatabase::ProfileFileName("a_sb", EventType::kCycles),
@@ -108,8 +80,8 @@ TEST_F(DbTest, DistinctImagesNeverShareAFile) {
   slash.AddSamples(0, 5);
   ImageProfile underscore("a_b", EventType::kCycles, 1000);
   underscore.AddSamples(0, 9);
-  ASSERT_TRUE(db.WriteProfile(slash).ok());
-  ASSERT_TRUE(db.WriteProfile(underscore).ok());
+  ASSERT_TRUE(db.ReplaceProfile(slash).ok());
+  ASSERT_TRUE(db.ReplaceProfile(underscore).ok());
   EXPECT_EQ(db.ReadProfile(0, "a/b", EventType::kCycles).value().SamplesAt(0), 5u);
   EXPECT_EQ(db.ReadProfile(0, "a_b", EventType::kCycles).value().SamplesAt(0), 9u);
 }
@@ -157,13 +129,13 @@ TEST_F(DbTest, ReopeningPopulatedRootResumesEpochNumbering) {
     ProfileDatabase db(root_);
     ImageProfile a("img", EventType::kCycles, 1000);
     a.AddSamples(0, 5);
-    ASSERT_TRUE(db.WriteProfile(a).ok());
+    ASSERT_TRUE(db.ReplaceProfile(a).ok());
   }
   ProfileDatabase db(root_);
   EXPECT_EQ(db.scan_report().next_epoch, 1u);
   ImageProfile b("img", EventType::kCycles, 1000);
   b.AddSamples(0, 3);
-  ASSERT_TRUE(db.WriteProfile(b).ok());
+  ASSERT_TRUE(db.ReplaceProfile(b).ok());
   // The second run's samples land in a fresh epoch, not merged into the
   // first run's epoch 0.
   EXPECT_EQ(db.ReadProfile(0, "img", EventType::kCycles).value().SamplesAt(0), 5u);
