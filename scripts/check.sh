@@ -11,6 +11,7 @@
 #                 suite, including the profile-database crash/corruption
 #                 tests (ProfileDbCrash*, DeserializeAdversarial*), so the
 #                 fault-injection and corrupt-input paths run sanitized.
+#                 Undefined behaviour aborts (-fno-sanitize-recover).
 #
 # New/rewritten targets build with -Werror (wired in the CMakeLists); any
 # warning in them fails the build and therefore this script.
@@ -18,8 +19,9 @@
 # Usage: scripts/check.sh [--tsan-only|--asan-only|--wthread-only] [--fast]
 #                         [--lint] [--wthread] [--bench-smoke]
 #   --fast runs only the concurrency-relevant tests under TSan and the
-#   crash/corruption/durability tests under ASan (the full suites are slow
-#   on small hosts).
+#   crash/corruption/durability and simulator-core tests (CPU, kernel,
+#   caches, TLBs, write buffer, ISA, golden digests) under ASan (the full
+#   suites are slow on small hosts).
 #   --lint additionally runs clang-tidy (config in .clang-tidy) over the
 #   compile-commands database. Skipped with a notice when clang-tidy is not
 #   installed, so the gate stays usable on minimal containers.
@@ -149,7 +151,7 @@ run_config() {
 if [[ "$RUN_TSAN" == 1 ]]; then
   TSAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    TSAN_FILTER="DriverConcurrency|MpDeterminism|PipelineIntegration|DcpiDriver|KernelSched|ThreadPool|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|MemorySection"
+    TSAN_FILTER="DriverConcurrency|MpDeterminism|PipelineIntegration|DcpiDriver|KernelSched|ThreadPool|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|MemorySection|SimGolden"
   fi
   run_config build-tsan "-fsanitize=thread -O1 -g -fno-omit-frame-pointer" "$TSAN_FILTER"
 fi
@@ -157,9 +159,11 @@ fi
 if [[ "$RUN_ASAN" == 1 ]]; then
   ASAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    ASAN_FILTER="ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative"
+    ASAN_FILTER="ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|CpuTiming|KernelSmoke|Cache|Tlb|WriteBuffer|Isa|SimGolden"
   fi
-  run_config build-asan "-fsanitize=address,undefined -O1 -g -fno-omit-frame-pointer" "$ASAN_FILTER"
+  # -fno-sanitize-recover makes undefined behaviour fail the test that hits
+  # it instead of only printing a report.
+  run_config build-asan "-fsanitize=address,undefined -fno-sanitize-recover=undefined -O1 -g -fno-omit-frame-pointer" "$ASAN_FILTER"
 fi
 
 echo "=== all sanitizer configurations passed ==="

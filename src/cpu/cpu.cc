@@ -1,5 +1,7 @@
 #include "src/cpu/cpu.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -19,6 +21,12 @@ uint64_t DoubleToBits(double d) {
   return bits;
 }
 
+// Guest address arithmetic wraps modulo 2^64 like the hardware; computed
+// unsigned to avoid signed-overflow UB.
+uint64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<uint64_t>(a) + static_cast<uint64_t>(b);
+}
+
 }  // namespace
 
 Cpu::Cpu(uint32_t cpu_id, const CpuConfig& config)
@@ -30,12 +38,27 @@ Cpu::Cpu(uint32_t cpu_id, const CpuConfig& config)
   if (config_.issue_queue_depth > kMaxQueueDepth) {
     config_.issue_queue_depth = kMaxQueueDepth;
   }
+  fetch_piece_shift_ = static_cast<unsigned>(
+      std::countr_zero(std::min(config_.memory.icache.line_bytes, kPageBytes)));
+  for (int op = 0; op < kNumOpcodes; ++op) {
+    DecodedInst inst;
+    inst.op = static_cast<Opcode>(op);
+    OpcodeFacts& facts = opcode_facts_[op];
+    facts.klass = inst.klass();
+    facts.slot_mask = PipelineModel::SlotMask(inst);
+    facts.ends_group = PipelineModel::EndsGroup(inst);
+    facts.issues_alone = PipelineModel::IssuesAlone(inst);
+    facts.uses_imul = PipelineModel::UsesImul(inst);
+    facts.uses_fdiv = PipelineModel::UsesFdiv(inst);
+    facts.result_latency = model_.ResultLatency(inst);
+  }
 }
 
 void Cpu::OnContextSwitch() {
   ++stats_.context_switches;
   if (config_.flush_tlb_on_switch) memory_.ClearTlbs();
   fetch_line_ = ~0ull;
+  fetch_piece_ = ~0ull;
   fetch_count_ = 0;
   fetch_time_ = last_issue_time_;
   pending_fetch_cause_ = StallCause::kNone;
@@ -45,11 +68,9 @@ void Cpu::OnContextSwitch() {
   group_slots_ = 0;
   group_ndests_ = 0;
   group_size_ = 0;
-  for (int b = 0; b < 2; ++b) {
-    for (int r = 0; r < 32; ++r) {
-      reg_ready_[b][r] = last_issue_time_;
-      reg_cause_[b][r] = StallCause::kNone;
-    }
+  for (int r = 0; r < kNumIntRegs + kNumFpRegs; ++r) {
+    reg_ready_[r] = last_issue_time_;
+    reg_cause_[r] = StallCause::kNone;
   }
 }
 
@@ -61,8 +82,16 @@ Cpu::FetchInfo Cpu::ComputeFetchTime(ExecContext& ctx, uint64_t pc) {
                     kMaxQueueDepth];
   if (fetch_time_ < oldest) fetch_time_ = oldest;
 
-  uint64_t paddr = ctx.Translate(pc);
-  uint64_t line = paddr / memory_.config().icache.line_bytes;
+  // Translate only when pc leaves the virtual piece the current fetch line
+  // came from: the same piece always maps to the same physical line.
+  const uint64_t piece = pc >> fetch_piece_shift_;
+  uint64_t paddr = 0;
+  uint64_t line = fetch_line_;
+  if (piece != fetch_piece_) {
+    paddr = ctx.Translate(pc);
+    line = memory_.icache().LineOf(paddr);
+    fetch_piece_ = piece;
+  }
   if (line != fetch_line_) {
     if (fetch_line_ != ~0ull) {
       fetch_time_ += 1;  // line crossing consumes the next fetch slot
@@ -97,29 +126,35 @@ Cpu::FetchInfo Cpu::ComputeFetchTime(ExecContext& ctx, uint64_t pc) {
 void Cpu::RedirectFetch(uint64_t resume_time, StallCause cause) {
   fetch_time_ = resume_time;
   fetch_line_ = ~0ull;
+  fetch_piece_ = ~0ull;
   fetch_count_ = 0;
   pending_fetch_cause_ = cause;
 }
 
-bool Cpu::DependsOnGroup(const RegRef* srcs, int nsrcs,
-                         const std::optional<RegRef>& dest) const {
+bool Cpu::DependsOnGroup(const PredecodedInst& inst) const {
+  // group_dests_ never holds kNoReg, so an instruction without a
+  // destination cannot match in the WAW check.
   for (int d = 0; d < group_ndests_; ++d) {
-    for (int s = 0; s < nsrcs; ++s) {
-      if (srcs[s] == group_dests_[d]) return true;  // RAW
+    for (int s = 0; s < inst.nsrcs; ++s) {
+      if (inst.srcs[s] == group_dests_[d]) return true;  // RAW
     }
-    if (dest.has_value() && *dest == group_dests_[d]) return true;  // WAW
+    if (inst.dest == group_dests_[d]) return true;  // WAW
   }
   return false;
 }
 
-bool Cpu::Step(ExecContext& ctx) {
-  RegFile& regs = ctx.regs();
+bool Cpu::Step(ExecContext& ctx, RegFile& regs, uint32_t pid) {
   const uint64_t pc = regs.pc;
-  const DecodedInst* inst = ctx.FetchInstruction(pc);
-  if (inst == nullptr) {
-    exit_ = ExitReason::kBadPc;
-    return false;
+  if (!window_.Contains(pc)) {
+    window_ = ctx.FetchText(pc);
+    if (!window_.Contains(pc)) {
+      exit_ = ExitReason::kBadPc;
+      return false;
+    }
   }
+  const PredecodedInst& pre = window_.At(pc);
+  const DecodedInst* inst = &pre.inst;
+  const OpcodeFacts& facts = opcode_facts_[static_cast<int>(inst->op)];
 
   // ---- Front end ----
   FetchInfo fetch = ComputeFetchTime(ctx, pc);
@@ -129,18 +164,15 @@ bool Cpu::Step(ExecContext& ctx) {
   constraint.Raise(fetch.time, fetch.cause);
   constraint.Raise(floor_time_, floor_cause_);
 
-  RegRef srcs[3];
-  int nsrcs = inst->SourceRegs(srcs);
-  for (int s = 0; s < nsrcs; ++s) {
-    int bank = static_cast<int>(srcs[s].bank);
-    uint64_t ready = reg_ready_[bank][srcs[s].index];
-    StallCause cause = reg_cause_[bank][srcs[s].index];
-    constraint.Raise(ready, cause == StallCause::kNone ? StallCause::kDependency : cause);
+  for (int s = 0; s < pre.nsrcs; ++s) {
+    StallCause cause = reg_cause_[pre.srcs[s]];
+    constraint.Raise(reg_ready_[pre.srcs[s]],
+                     cause == StallCause::kNone ? StallCause::kDependency : cause);
   }
-  if (PipelineModel::UsesImul(*inst)) {
+  if (facts.uses_imul) {
     constraint.Raise(imul_free_, StallCause::kImulBusy);
   }
-  if (PipelineModel::UsesFdiv(*inst)) {
+  if (facts.uses_fdiv) {
     constraint.Raise(fdiv_free_, StallCause::kFdivBusy);
   }
 
@@ -148,9 +180,9 @@ bool Cpu::Step(ExecContext& ctx) {
   uint64_t vaddr = 0;
   uint64_t paddr = 0;
   bool dtb_miss = false;
-  InstrClass klass = inst->klass();
+  InstrClass klass = facts.klass;
   if (klass == InstrClass::kLoad || klass == InstrClass::kStore) {
-    vaddr = static_cast<uint64_t>(regs.ReadInt(inst->rb) + inst->disp);
+    vaddr = WrapAdd(regs.ReadInt(inst->rb), inst->disp);
     paddr = ctx.Translate(vaddr);
     dtb_miss = memory_.AccessDtbForData(vaddr);
     if (dtb_miss) {
@@ -170,15 +202,12 @@ bool Cpu::Step(ExecContext& ctx) {
   }
 
   // ---- Grouping / issue time ----
-  std::optional<RegRef> dest = inst->DestReg();
-  bool zero_dest = dest.has_value() && dest->IsZero();
   uint64_t prev_issue_event = last_issue_time_;
-  int slot = PipelineModel::PickSlot(*inst, group_slots_);
+  int slot = PipelineModel::PickSlot(facts.slot_mask, group_slots_);
   bool can_group = !group_closed_ && group_size_ > 0 &&
                    group_size_ < kNumIssueSlots && slot >= 0 &&
-                   constraint.time <= group_time_ &&
-                   !PipelineModel::IssuesAlone(*inst) &&
-                   !DependsOnGroup(srcs, nsrcs, zero_dest ? std::nullopt : dest);
+                   constraint.time <= group_time_ && !facts.issues_alone &&
+                   !DependsOnGroup(pre);
 
   uint64_t issue_time;
   bool new_group;
@@ -195,7 +224,7 @@ bool Cpu::Step(ExecContext& ctx) {
   // Samples: the head interval (prev_issue_event, issue_time] belongs to
   // this instruction. The monitor may stretch the stall with handler time.
   if (new_group && monitor_ != nullptr) {
-    uint64_t adjusted = monitor_->OnIssue(ctx.pid(), pc, prev_issue_event, issue_time);
+    uint64_t adjusted = monitor_->OnIssue(pid, pc, prev_issue_event, issue_time);
     if (adjusted > issue_time) {
       fetch_time_ += adjusted - issue_time;
       issue_time = adjusted;
@@ -206,13 +235,13 @@ bool Cpu::Step(ExecContext& ctx) {
     group_slots_ = static_cast<uint8_t>(1 << (slot >= 0 ? slot : 0));
     group_ndests_ = 0;
     group_size_ = 1;
-    group_closed_ = PipelineModel::EndsGroup(*inst);
+    group_closed_ = facts.ends_group;
     ++stats_.issue_groups;
-  } else if (PipelineModel::EndsGroup(*inst)) {
+  } else if (facts.ends_group) {
     group_closed_ = true;
   }
-  if (dest.has_value() && !zero_dest && group_ndests_ < kNumIssueSlots) {
-    group_dests_[group_ndests_++] = *dest;
+  if (pre.dest != kNoReg && group_ndests_ < kNumIssueSlots) {
+    group_dests_[group_ndests_++] = pre.dest;
   }
   last_issue_time_ = group_time_;
   recent_issue_[recent_pos_ % kMaxQueueDepth] = issue_time;
@@ -220,7 +249,7 @@ bool Cpu::Step(ExecContext& ctx) {
 
   // ---- Execute ----
   uint64_t next_pc = pc + kInstrBytes;
-  uint64_t dest_ready = issue_time + model_.ResultLatency(*inst);
+  uint64_t dest_ready = issue_time + facts.result_latency;
   StallCause dest_cause = StallCause::kNone;
   bool record_taken_edge = false;
   uint64_t taken_target = 0;
@@ -229,10 +258,11 @@ bool Cpu::Step(ExecContext& ctx) {
 
   switch (inst->op) {
     case Opcode::kLda:
-      regs.WriteInt(inst->ra, regs.ReadInt(inst->rb) + inst->disp);
+      regs.WriteInt(inst->ra, static_cast<int64_t>(WrapAdd(regs.ReadInt(inst->rb), inst->disp)));
       break;
     case Opcode::kLdah:
-      regs.WriteInt(inst->ra, regs.ReadInt(inst->rb) + (static_cast<int64_t>(inst->disp) << 16));
+      regs.WriteInt(inst->ra, static_cast<int64_t>(WrapAdd(
+                                  regs.ReadInt(inst->rb), static_cast<int64_t>(inst->disp) * 65536)));
       break;
     case Opcode::kLdq:
     case Opcode::kLdl:
@@ -254,7 +284,7 @@ bool Cpu::Step(ExecContext& ctx) {
       // Runs after this instruction's OnIssue: a monitor that armed a wide
       // sample at delivery fills in the data address, latency and level.
       if (monitor_ != nullptr) {
-        monitor_->OnDataAccess(ctx.pid(), pc, vaddr, lr.latency, lr.dcache_miss,
+        monitor_->OnDataAccess(pid, pc, vaddr, lr.latency, lr.dcache_miss,
                                lr.board_miss, dtb_miss);
       }
       if (inst->op == Opcode::kLdl) {
@@ -538,10 +568,9 @@ bool Cpu::Step(ExecContext& ctx) {
   }
 
   // Scoreboard update.
-  if (dest.has_value() && !zero_dest) {
-    int bank = static_cast<int>(dest->bank);
-    reg_ready_[bank][dest->index] = dest_ready;
-    reg_cause_[bank][dest->index] = dest_cause;
+  if (pre.dest != kNoReg) {
+    reg_ready_[pre.dest] = dest_ready;
+    reg_cause_[pre.dest] = dest_cause;
   }
 
   // ---- Ground truth ----
@@ -580,6 +609,12 @@ bool Cpu::Step(ExecContext& ctx) {
 RunResult Cpu::Run(ExecContext& ctx, uint64_t max_cycles, uint64_t max_instructions) {
   uint64_t start_cycle = last_issue_time_;
   uint64_t start_instructions = stats_.instructions;
+  RegFile& regs = ctx.regs();
+  const uint32_t pid = ctx.pid();
+  // The text window and the fetch translation skip belong to the context
+  // of one Run; start both afresh.
+  window_ = TextWindow();
+  fetch_piece_ = ~0ull;
   while (true) {
     if (last_issue_time_ - start_cycle >= max_cycles) {
       exit_ = ExitReason::kQuantumExpired;
@@ -589,7 +624,7 @@ RunResult Cpu::Run(ExecContext& ctx, uint64_t max_cycles, uint64_t max_instructi
       exit_ = ExitReason::kInstructionLimit;
       break;
     }
-    if (!Step(ctx)) break;
+    if (!Step(ctx, regs, pid)) break;
   }
   return RunResult{exit_, last_issue_time_ - start_cycle,
                    stats_.instructions - start_instructions};

@@ -112,14 +112,26 @@ class Cpu {
     }
   };
 
+  // What the issue logic needs of an opcode, computed once from model_ so
+  // the simulator and the analysis still share one PipelineModel.
+  struct OpcodeFacts {
+    InstrClass klass = InstrClass::kIntOp;
+    uint8_t slot_mask = 0;
+    bool ends_group = false;
+    bool issues_alone = false;
+    bool uses_imul = false;
+    bool uses_fdiv = false;
+    uint64_t result_latency = 0;
+  };
+
   FetchInfo ComputeFetchTime(ExecContext& ctx, uint64_t pc);
   void RedirectFetch(uint64_t resume_time, StallCause cause);
-  bool DependsOnGroup(const RegRef* srcs, int nsrcs,
-                      const std::optional<RegRef>& dest) const;
+  bool DependsOnGroup(const PredecodedInst& inst) const;
 
-  // One dynamic instruction. Returns true to continue; on false, `exit_`
-  // holds the reason.
-  bool Step(ExecContext& ctx);
+  // One dynamic instruction; `regs` and `pid` are ctx.regs() and
+  // ctx.pid(), read once per Run. Returns true to continue; on false,
+  // `exit_` holds the reason.
+  bool Step(ExecContext& ctx, RegFile& regs, uint32_t pid);
 
   uint32_t cpu_id_;
   CpuConfig config_;
@@ -128,11 +140,17 @@ class Cpu {
   BranchPredictor predictor_;
   PerfMonitor* monitor_ = nullptr;
   GroundTruth* ground_truth_ = nullptr;
+  OpcodeFacts opcode_facts_[kNumOpcodes];
 
-  // Register scoreboard: ready time and the microarchitectural reason a
-  // consumer would stall on it.
-  uint64_t reg_ready_[2][32] = {};
-  StallCause reg_cause_[2][32] = {};
+  // Text window of the running context, fetched again only when the PC
+  // leaves it; cleared at the start of every Run, so it never outlives the
+  // context it came from.
+  TextWindow window_;
+
+  // Register scoreboard, indexed by RegId: ready time and the
+  // microarchitectural reason a consumer would stall on it.
+  uint64_t reg_ready_[kNumIntRegs + kNumFpRegs] = {};
+  StallCause reg_cause_[kNumIntRegs + kNumFpRegs] = {};
 
   uint64_t imul_free_ = 0;
   uint64_t fdiv_free_ = 0;
@@ -140,7 +158,7 @@ class Cpu {
   // Current issue group.
   uint64_t group_time_ = 0;
   uint8_t group_slots_ = 0;
-  RegRef group_dests_[kNumIssueSlots] = {};
+  uint8_t group_dests_[kNumIssueSlots] = {};  // RegIds
   int group_ndests_ = 0;
   int group_size_ = 0;
   bool group_closed_ = true;
@@ -153,6 +171,13 @@ class Cpu {
   // Fetch stream.
   uint64_t fetch_time_ = 0;
   uint64_t fetch_line_ = ~0ull;
+  // pc >> fetch_piece_shift_ of the fetch that set fetch_line_ (~0 when
+  // unknown: after a redirect and at the start of every Run). A piece is
+  // the smaller of an I-cache line and a page, so it lies in one page and
+  // one physical line, and page mappings never change: a fetch from the
+  // same piece needs no translation.
+  uint64_t fetch_piece_ = ~0ull;
+  unsigned fetch_piece_shift_ = 0;
   uint32_t fetch_count_ = 0;
   StallCause pending_fetch_cause_ = StallCause::kNone;
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 
 #include "src/isa/instruction.h"
 
@@ -28,6 +29,45 @@ struct RegFile {
   }
 };
 
+// Register id used by the issue logic: bank * 32 + index, so one 64-entry
+// scoreboard covers both banks.
+inline constexpr uint8_t kNoReg = 0xff;
+inline uint8_t RegId(RegRef reg) {
+  return static_cast<uint8_t>(static_cast<int>(reg.bank) * kNumIntRegs + reg.index);
+}
+
+// A predecoded instruction plus its register operands, resolved once when
+// the text is predecoded instead of at every issue. The operands are kept
+// here, not in DecodedInst, because the analysis copies DecodedInst for
+// every instruction it schedules and needs it small.
+struct PredecodedInst {
+  DecodedInst inst;
+  uint8_t srcs[3] = {kNoReg, kNoReg, kNoReg};  // SourceRegs(), as RegIds
+  uint8_t nsrcs = 0;
+  // DestReg() as a RegId; kNoReg when there is none or it is r31/f31,
+  // whose writes are discarded.
+  uint8_t dest = kNoReg;
+
+  explicit PredecodedInst(const DecodedInst& decoded) : inst(decoded) {
+    RegRef regs[3];
+    nsrcs = static_cast<uint8_t>(decoded.SourceRegs(regs));
+    for (int i = 0; i < nsrcs; ++i) srcs[i] = RegId(regs[i]);
+    std::optional<RegRef> d = decoded.DestReg();
+    if (d.has_value() && !d->IsZero()) dest = RegId(*d);
+  }
+};
+
+// A contiguous run of predecoded text: insts[i] is the instruction at
+// base + i * kInstrBytes. Empty (base == end) when there is no text.
+struct TextWindow {
+  uint64_t base = 0;
+  uint64_t end = 0;
+  const PredecodedInst* insts = nullptr;
+
+  bool Contains(uint64_t pc) const { return pc >= base && pc < end; }
+  const PredecodedInst& At(uint64_t pc) const { return insts[(pc - base) / kInstrBytes]; }
+};
+
 class ExecContext {
  public:
   virtual ~ExecContext() = default;
@@ -42,8 +82,11 @@ class ExecContext {
   // Physical address for cache indexing.
   virtual uint64_t Translate(uint64_t vaddr) = 0;
 
-  // Predecoded instruction at `pc`; nullptr if pc is outside mapped text.
-  virtual const DecodedInst* FetchInstruction(uint64_t pc) = 0;
+  // The predecoded text window containing `pc` (for a process, the whole
+  // text section of the image mapping it); empty if pc is outside mapped
+  // text. The window's instructions stay valid while the context lives;
+  // within one Cpu::Run the CPU asks again only when the PC leaves it.
+  virtual TextWindow FetchText(uint64_t pc) = 0;
 };
 
 }  // namespace dcpi

@@ -46,11 +46,18 @@ void GroundTruth::AddImage(std::shared_ptr<const ExecutableImage> image) {
   std::sort(images_.begin(), images_.end(), [](const ImageTruth& a, const ImageTruth& b) {
     return a.image->text_base() < b.image->text_base();
   });
+  ClearMemos();
+}
+
+void GroundTruth::ClearMemos() {
   last_hit_ = nullptr;
+  last_base_ = 0;
+  last_end_ = 0;
+  for (EdgeMemo& memo : edge_memo_) memo = EdgeMemo();
 }
 
 ImageTruth* GroundTruth::ImageForPc(uint64_t pc) {
-  if (last_hit_ != nullptr && last_hit_->image->ContainsPc(pc)) return last_hit_;
+  if (pc >= last_base_ && pc < last_end_) return last_hit_;
   auto it = std::upper_bound(images_.begin(), images_.end(), pc,
                              [](uint64_t value, const ImageTruth& t) {
                                return value < t.image->text_base();
@@ -59,20 +66,18 @@ ImageTruth* GroundTruth::ImageForPc(uint64_t pc) {
   --it;
   if (!it->image->ContainsPc(pc)) return nullptr;
   last_hit_ = &*it;
+  last_base_ = it->image->text_base();
+  last_end_ = it->image->text_end();
   return last_hit_;
 }
 
-InstructionTruth* GroundTruth::ForPc(uint64_t pc) {
-  ImageTruth* truth = ImageForPc(pc);
-  if (truth == nullptr) return nullptr;
-  return &truth->instructions[(pc - truth->image->text_base()) / kInstrBytes];
-}
-
-void GroundTruth::AddEdge(uint64_t from_pc, uint64_t to_pc) {
+void GroundTruth::AddEdgeSlow(uint64_t from_pc, uint64_t to_pc, EdgeMemo* memo) {
   ImageTruth* truth = ImageForPc(from_pc);
   if (truth == nullptr || !truth->image->ContainsPc(to_pc)) return;
   uint64_t base = truth->image->text_base();
-  ++truth->edges[{from_pc - base, to_pc - base}];
+  uint64_t& count = truth->edges[{from_pc - base, to_pc - base}];
+  ++count;
+  *memo = {from_pc, to_pc, &count};
 }
 
 void GroundTruth::DrainInto(GroundTruth* dst) {
@@ -100,6 +105,7 @@ void GroundTruth::DrainInto(GroundTruth* dst) {
     for (const auto& [edge, count] : src.edges) out->edges[edge] += count;
     src.edges.clear();
   }
+  ClearMemos();
 }
 
 const ImageTruth* GroundTruth::FindImage(const ExecutableImage* image) const {

@@ -59,6 +59,11 @@ struct ImageTruth {
 
 class GroundTruth {
  public:
+  GroundTruth() = default;
+  // Not copyable: the lookup memos point into this recorder's own images.
+  GroundTruth(const GroundTruth&) = delete;
+  GroundTruth& operator=(const GroundTruth&) = delete;
+
   // Registers an image; instruction counters are indexed by PC range.
   void AddImage(std::shared_ptr<const ExecutableImage> image);
 
@@ -70,18 +75,56 @@ class GroundTruth {
 
   // Fast lookup of the truth record for an absolute PC (images are
   // prelinked at unique addresses). Returns nullptr for unknown PCs.
-  InstructionTruth* ForPc(uint64_t pc);
+  InstructionTruth* ForPc(uint64_t pc) {
+    if (pc >= last_base_ && pc < last_end_) {
+      return &last_hit_->instructions[(pc - last_base_) / kInstrBytes];
+    }
+    ImageTruth* truth = ImageForPc(pc);
+    if (truth == nullptr) return nullptr;
+    return &truth->instructions[(pc - truth->image->text_base()) / kInstrBytes];
+  }
 
-  void AddEdge(uint64_t from_pc, uint64_t to_pc);
+  // Counts one execution of the taken edge from_pc -> to_pc; ignored
+  // unless both lie in the same image.
+  void AddEdge(uint64_t from_pc, uint64_t to_pc) {
+    EdgeMemo& memo = edge_memo_[EdgeMemoSlot(from_pc, to_pc)];
+    if (memo.count != nullptr && memo.from_pc == from_pc && memo.to_pc == to_pc) {
+      ++*memo.count;
+      return;
+    }
+    AddEdgeSlow(from_pc, to_pc, &memo);
+  }
 
   const ImageTruth* FindImage(const ExecutableImage* image) const;
   const std::vector<ImageTruth>& images() const { return images_; }
 
  private:
+  // A recently counted edge and its counter in ImageTruth::edges. std::map
+  // nodes never move, so the pointer stays valid until the map is cleared
+  // (DrainInto) or the images vector changes (AddImage); both clear the
+  // memo.
+  struct EdgeMemo {
+    uint64_t from_pc = 0;
+    uint64_t to_pc = 0;
+    uint64_t* count = nullptr;
+  };
+  static constexpr size_t kEdgeMemoEntries = 256;
+
+  static size_t EdgeMemoSlot(uint64_t from_pc, uint64_t to_pc) {
+    return ((from_pc / kInstrBytes) ^ (to_pc / kInstrBytes * 7)) & (kEdgeMemoEntries - 1);
+  }
+
+  // Finds the image containing `pc` and makes it the cached last hit.
   ImageTruth* ImageForPc(uint64_t pc);
+  void AddEdgeSlow(uint64_t from_pc, uint64_t to_pc, EdgeMemo* memo);
+  void ClearMemos();
 
   std::vector<ImageTruth> images_;  // sorted by text_base
+  // The last image ImageForPc found, with its [text_base, text_end).
   ImageTruth* last_hit_ = nullptr;
+  uint64_t last_base_ = 0;
+  uint64_t last_end_ = 0;
+  EdgeMemo edge_memo_[kEdgeMemoEntries];
 };
 
 }  // namespace dcpi

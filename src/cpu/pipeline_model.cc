@@ -39,15 +39,6 @@ uint8_t PipelineModel::SlotMask(const DecodedInst& inst) {
   return kMaskE0;
 }
 
-int PipelineModel::PickSlot(const DecodedInst& inst, uint8_t used_mask) {
-  uint8_t free_suitable = SlotMask(inst) & static_cast<uint8_t>(~used_mask);
-  if (free_suitable == 0) return -1;
-  for (int s = 0; s < kNumIssueSlots; ++s) {
-    if (free_suitable & (1 << s)) return s;
-  }
-  return -1;
-}
-
 uint64_t PipelineModel::ResultLatency(const DecodedInst& inst) const {
   switch (inst.klass()) {
     case InstrClass::kLoad:

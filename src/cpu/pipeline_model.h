@@ -20,6 +20,7 @@
 #ifndef SRC_CPU_PIPELINE_MODEL_H_
 #define SRC_CPU_PIPELINE_MODEL_H_
 
+#include <bit>
 #include <cstdint>
 
 #include "src/isa/instruction.h"
@@ -63,7 +64,14 @@ class PipelineModel {
   static uint8_t SlotMask(const DecodedInst& inst);
 
   // Picks the first free suitable slot given `used_mask`; returns -1 if none.
-  static int PickSlot(const DecodedInst& inst, uint8_t used_mask);
+  static int PickSlot(const DecodedInst& inst, uint8_t used_mask) {
+    return PickSlot(SlotMask(inst), used_mask);
+  }
+  // The same, from the instruction's SlotMask.
+  static int PickSlot(uint8_t slot_mask, uint8_t used_mask) {
+    uint8_t free_suitable = slot_mask & static_cast<uint8_t>(~used_mask);
+    return free_suitable == 0 ? -1 : std::countr_zero(free_suitable);
+  }
 
   // Result latency assuming D-cache hits (static best case).
   uint64_t ResultLatency(const DecodedInst& inst) const;

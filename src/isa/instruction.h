@@ -48,6 +48,11 @@ struct DecodedInst {
   }
 };
 
+// The analysis keeps a copy per instruction it schedules; per-instruction
+// facts the simulator wants (register operands) live in its predecoded
+// text instead, so this stays small.
+static_assert(sizeof(DecodedInst) == 8, "DecodedInst grew");
+
 // Encodes a decoded instruction to its 32-bit form.
 uint32_t Encode(const DecodedInst& inst);
 

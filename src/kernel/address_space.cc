@@ -1,5 +1,6 @@
 #include "src/kernel/address_space.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace dcpi {
@@ -8,8 +9,7 @@ PredecodedImage::PredecodedImage(std::shared_ptr<const ExecutableImage> img)
     : image(std::move(img)) {
   text.reserve(image->num_instructions());
   for (uint32_t word : image->text()) {
-    auto decoded = Decode(word);
-    text.push_back(decoded.value_or(DecodedInst{}));
+    text.emplace_back(Decode(word).value_or(DecodedInst{}));
   }
 }
 
@@ -32,11 +32,14 @@ Status AddressSpace::MapImage(const PredecodedImage* predecoded) {
   valid_ranges_.push_back({image.text_base(), image.text_end()});
   if (image.data_size() > 0) {
     valid_ranges_.push_back({image.data_base(), image.data_base() + image.data_size()});
-    // Copy initialized data into backing pages.
+    // Copy initialized data into backing pages, one page-sized piece at a
+    // time.
     const std::vector<uint8_t>& init = image.data_init();
-    for (size_t i = 0; i < init.size(); ++i) {
+    for (size_t i = 0; i < init.size();) {
       uint64_t vaddr = image.data_base() + i;
-      PageFor(vaddr)[vaddr % kPageBytes] = init[i];
+      size_t piece = std::min<uint64_t>(init.size() - i, kPageBytes - vaddr % kPageBytes);
+      std::memcpy(PageFor(vaddr) + vaddr % kPageBytes, init.data() + i, piece);
+      i += piece;
     }
   }
   return Status::Ok();
@@ -49,29 +52,37 @@ Status AddressSpace::MapAnonymous(uint64_t start, uint64_t size) {
 }
 
 bool AddressSpace::InValidRange(uint64_t vaddr, unsigned size) const {
+  // Written so that an access running past 2^64 cannot wrap into range.
   for (const Range& r : valid_ranges_) {
-    if (vaddr >= r.start && vaddr + size <= r.end) return true;
+    if (vaddr >= r.start && vaddr <= r.end && size <= r.end - vaddr) return true;
   }
   return false;
 }
 
 uint8_t* AddressSpace::PageFor(uint64_t vaddr) {
   uint64_t vpage = vaddr / kPageBytes;
+  PageMemo& memo = page_memo_[vpage % kPageMemoEntries];
+  if (memo.vpage == vpage) return memo.page;
   auto it = pages_.find(vpage);
   if (it == pages_.end()) {
     auto page = std::make_unique<uint8_t[]>(kPageBytes);
     std::memset(page.get(), 0, kPageBytes);
     it = pages_.emplace(vpage, std::move(page)).first;
   }
-  return it->second.get();
+  memo = {vpage, it->second.get()};
+  return memo.page;
 }
 
+// Load and Store look the page up once, and again only where the access
+// crosses into the next page.
 bool AddressSpace::Load(uint64_t vaddr, unsigned size, uint64_t* out) {
   if (!InValidRange(vaddr, size)) return false;
   uint64_t value = 0;
+  uint8_t* page = nullptr;
   for (unsigned i = 0; i < size; ++i) {
     uint64_t a = vaddr + i;
-    value |= static_cast<uint64_t>(PageFor(a)[a % kPageBytes]) << (8 * i);
+    if (page == nullptr || a % kPageBytes == 0) page = PageFor(a);
+    value |= static_cast<uint64_t>(page[a % kPageBytes]) << (8 * i);
   }
   *out = value;
   return true;
@@ -79,24 +90,23 @@ bool AddressSpace::Load(uint64_t vaddr, unsigned size, uint64_t* out) {
 
 bool AddressSpace::Store(uint64_t vaddr, unsigned size, uint64_t value) {
   if (!InValidRange(vaddr, size)) return false;
+  uint8_t* page = nullptr;
   for (unsigned i = 0; i < size; ++i) {
     uint64_t a = vaddr + i;
-    PageFor(a)[a % kPageBytes] = static_cast<uint8_t>(value >> (8 * i));
+    if (page == nullptr || a % kPageBytes == 0) page = PageFor(a);
+    page[a % kPageBytes] = static_cast<uint8_t>(value >> (8 * i));
   }
   return true;
 }
 
-const DecodedInst* AddressSpace::InstructionAt(uint64_t pc) {
-  if (last_text_hit_ != nullptr && last_text_hit_->image->ContainsPc(pc)) {
-    return &last_text_hit_->text[(pc - last_text_hit_->image->text_base()) / kInstrBytes];
-  }
+TextWindow AddressSpace::TextAt(uint64_t pc) const {
   for (const Mapping& m : mappings_) {
-    if (m.predecoded->image->ContainsPc(pc)) {
-      last_text_hit_ = m.predecoded;
-      return &m.predecoded->text[(pc - m.predecoded->image->text_base()) / kInstrBytes];
+    const ExecutableImage& image = *m.predecoded->image;
+    if (image.ContainsPc(pc)) {
+      return TextWindow{image.text_base(), image.text_end(), m.predecoded->text.data()};
     }
   }
-  return nullptr;
+  return TextWindow();
 }
 
 }  // namespace dcpi

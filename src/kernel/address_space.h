@@ -14,16 +14,19 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/cpu/exec_context.h"
 #include "src/isa/image.h"
 #include "src/memory/memory_system.h"
 #include "src/support/status.h"
 
 namespace dcpi {
 
-// Predecoded text shared between all processes mapping an image.
+// Predecoded text shared between all processes mapping an image. Each
+// instruction carries its register operands, resolved once here rather
+// than at every issue.
 struct PredecodedImage {
   std::shared_ptr<const ExecutableImage> image;
-  std::vector<DecodedInst> text;
+  std::vector<PredecodedInst> text;
 
   explicit PredecodedImage(std::shared_ptr<const ExecutableImage> img);
 };
@@ -53,8 +56,8 @@ class AddressSpace {
   bool Store(uint64_t vaddr, unsigned size, uint64_t value);
   uint64_t Translate(uint64_t vaddr) { return mapper_.Translate(vaddr); }
 
-  // Predecoded instruction at pc, or nullptr outside mapped text.
-  const DecodedInst* InstructionAt(uint64_t pc);
+  // The predecoded text section containing pc; empty outside mapped text.
+  TextWindow TextAt(uint64_t pc) const;
 
   struct Mapping {
     const PredecodedImage* predecoded;
@@ -66,6 +69,7 @@ class AddressSpace {
 
  private:
   bool InValidRange(uint64_t vaddr, unsigned size) const;
+  // Backing page of vaddr, allocated zero-filled on first touch.
   uint8_t* PageFor(uint64_t vaddr);
 
   struct Range {
@@ -73,11 +77,20 @@ class AddressSpace {
     uint64_t end;
   };
 
+  // Direct-mapped cache of recent PageFor results. Pages are never freed
+  // while the address space lives and their storage never moves, so a
+  // memoized pointer stays valid.
+  struct PageMemo {
+    uint64_t vpage = ~0ull;  // no page number: vaddr / kPageBytes < 2^51
+    uint8_t* page = nullptr;
+  };
+  static constexpr size_t kPageMemoEntries = 16;
+
   PageMapper mapper_;
   std::vector<Mapping> mappings_;
   std::vector<Range> valid_ranges_;
   std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> pages_;
-  const PredecodedImage* last_text_hit_ = nullptr;
+  PageMemo page_memo_[kPageMemoEntries];
 };
 
 }  // namespace dcpi

@@ -32,9 +32,7 @@ class Process : public ExecContext {
     return aspace_.Store(vaddr, size, value);
   }
   uint64_t Translate(uint64_t vaddr) override { return aspace_.Translate(vaddr); }
-  const DecodedInst* FetchInstruction(uint64_t pc) override {
-    return aspace_.InstructionAt(pc);
-  }
+  TextWindow FetchText(uint64_t pc) override { return aspace_.TextAt(pc); }
 
   const std::string& name() const { return name_; }
   AddressSpace& aspace() { return aspace_; }

@@ -1,30 +1,41 @@
 #include "src/memory/cache.h"
 
-#include <cassert>
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
 
 namespace dcpi {
 
-Cache::Cache(const CacheConfig& config) : config_(config) {
-  assert(config.line_bytes > 0 && config.associativity > 0);
-  assert(config.size_bytes % (config.line_bytes * config.associativity) == 0);
-  num_sets_ = config.size_bytes / (config.line_bytes * config.associativity);
+namespace {
+
+uint64_t CheckedNumSets(const CacheConfig& config) {
+  uint64_t way_bytes = config.line_bytes * config.associativity;
+  uint64_t sets = way_bytes == 0 ? 0 : config.size_bytes / way_bytes;
+  if (!std::has_single_bit(config.line_bytes) || config.associativity == 0 ||
+      config.size_bytes % way_bytes != 0 || !std::has_single_bit(sets)) {
+    std::fprintf(stderr,
+                 "invalid cache geometry: size %llu, line %llu, associativity %u "
+                 "(line size and set count must be powers of two)\n",
+                 static_cast<unsigned long long>(config.size_bytes),
+                 static_cast<unsigned long long>(config.line_bytes), config.associativity);
+    std::abort();
+  }
+  return sets;
+}
+
+}  // namespace
+
+Cache::Cache(const CacheConfig& config)
+    : config_(config),
+      num_sets_(CheckedNumSets(config)),
+      line_shift_(static_cast<unsigned>(std::countr_zero(config.line_bytes))),
+      set_mask_(num_sets_ - 1),
+      tag_shift_(line_shift_ + static_cast<unsigned>(std::countr_zero(num_sets_))) {
   ways_.resize(num_sets_ * config.associativity);
 }
 
-bool Cache::Access(uint64_t paddr) {
-  uint64_t set = SetIndex(paddr);
-  uint64_t tag = Tag(paddr);
-  Way* base = &ways_[set * config_.associativity];
-  ++use_clock_;
-  for (uint32_t w = 0; w < config_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      base[w].last_use = use_clock_;
-      ++stats_.hits;
-      return true;
-    }
-  }
+void Cache::Fill(Way* base, uint64_t tag) {
   ++stats_.misses;
-  // Fill: LRU victim (invalid ways first).
   Way* victim = &base[0];
   for (uint32_t w = 0; w < config_.associativity; ++w) {
     if (!base[w].valid) {
@@ -36,7 +47,6 @@ bool Cache::Access(uint64_t paddr) {
   victim->valid = true;
   victim->tag = tag;
   victim->last_use = use_clock_;
-  return false;
 }
 
 bool Cache::Probe(uint64_t paddr) const {

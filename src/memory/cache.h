@@ -35,11 +35,27 @@ struct CacheStats {
 
 class Cache {
  public:
+  // Aborts with a message, in every build, unless the line size and the
+  // set count are powers of two and the ways fill size_bytes exactly:
+  // lookups index by shift and mask.
   explicit Cache(const CacheConfig& config);
 
   // Looks up `paddr`; on a miss the line is filled (LRU victim within the
   // set). Returns true on hit.
-  bool Access(uint64_t paddr);
+  bool Access(uint64_t paddr) {
+    Way* base = &ways_[SetIndex(paddr) * config_.associativity];
+    uint64_t tag = Tag(paddr);
+    ++use_clock_;
+    for (uint32_t w = 0; w < config_.associativity; ++w) {
+      if (base[w].valid && base[w].tag == tag) {
+        base[w].last_use = use_clock_;
+        ++stats_.hits;
+        return true;
+      }
+    }
+    Fill(base, tag);
+    return false;
+  }
 
   // Lookup without fill (used by write-through stores).
   bool Probe(uint64_t paddr) const;
@@ -51,7 +67,7 @@ class Cache {
 
   const CacheStats& stats() const { return stats_; }
   const CacheConfig& config() const { return config_; }
-  uint64_t LineOf(uint64_t addr) const { return addr / config_.line_bytes; }
+  uint64_t LineOf(uint64_t addr) const { return addr >> line_shift_; }
 
  private:
   struct Way {
@@ -60,11 +76,18 @@ class Cache {
     uint64_t last_use = 0;
   };
 
-  uint64_t SetIndex(uint64_t paddr) const { return (paddr / config_.line_bytes) % num_sets_; }
-  uint64_t Tag(uint64_t paddr) const { return paddr / config_.line_bytes / num_sets_; }
+  // Access() after a miss: counts it and fills the LRU way of the set
+  // starting at `base` (invalid ways first).
+  void Fill(Way* base, uint64_t tag);
+
+  uint64_t SetIndex(uint64_t paddr) const { return (paddr >> line_shift_) & set_mask_; }
+  uint64_t Tag(uint64_t paddr) const { return paddr >> tag_shift_; }
 
   CacheConfig config_;
   uint64_t num_sets_;
+  unsigned line_shift_;  // log2(line_bytes)
+  uint64_t set_mask_;    // num_sets_ - 1
+  unsigned tag_shift_;   // log2(line_bytes * num_sets_)
   std::vector<Way> ways_;  // num_sets_ * associativity, set-major
   uint64_t use_clock_ = 0;
   CacheStats stats_;

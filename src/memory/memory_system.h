@@ -45,17 +45,32 @@ class PageMapper {
 
   uint64_t Translate(uint64_t vaddr) {
     uint64_t vpage = vaddr / kPageBytes;
-    auto it = map_.find(vpage);
-    if (it == map_.end()) {
-      uint64_t ppage = rng_.Next() & 0x3ffff;  // 256K pages = 2 GB physical
-      it = map_.emplace(vpage, ppage).first;
+    Memo& memo = memo_[vpage % kMemoEntries];
+    if (memo.vpage != vpage) {
+      auto it = map_.find(vpage);
+      if (it == map_.end()) {
+        uint64_t ppage = rng_.Next() & 0x3ffff;  // 256K pages = 2 GB physical
+        it = map_.emplace(vpage, ppage).first;
+      }
+      memo = {vpage, it->second};
     }
-    return it->second * kPageBytes + vaddr % kPageBytes;
+    return memo.ppage * kPageBytes + vaddr % kPageBytes;
   }
 
  private:
+  // Direct-mapped cache of recent translations. A memo entry only ever
+  // holds a pair already in map_, which never changes once assigned, so a
+  // hit returns what the map would; misses take the map path, keeping the
+  // first-touch order of colouring draws.
+  struct Memo {
+    uint64_t vpage = ~0ull;  // no page number: vaddr / kPageBytes < 2^51
+    uint64_t ppage = 0;
+  };
+  static constexpr size_t kMemoEntries = 16;
+
   SplitMix64 rng_;
   std::unordered_map<uint64_t, uint64_t> map_;
+  Memo memo_[kMemoEntries];
 };
 
 struct LoadResult {

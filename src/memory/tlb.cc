@@ -2,12 +2,11 @@
 
 namespace dcpi {
 
-bool Tlb::Access(uint64_t vaddr) {
-  uint64_t vpage = vaddr / kPageBytes;
-  ++use_clock_;
-  for (Entry& e : slots_) {
-    if (e.vpage == vpage) {
-      e.last_use = use_clock_;
+bool Tlb::ScanAndFill(uint64_t vpage) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].vpage == vpage) {
+      slots_[i].last_use = use_clock_;
+      mru_ = i;
       ++stats_.hits;
       return true;
     }
@@ -15,6 +14,7 @@ bool Tlb::Access(uint64_t vaddr) {
   ++stats_.misses;
   if (slots_.size() < entries_) {
     slots_.push_back({vpage, use_clock_});
+    mru_ = slots_.size() - 1;
     return false;
   }
   Entry* victim = &slots_[0];
@@ -23,11 +23,13 @@ bool Tlb::Access(uint64_t vaddr) {
   }
   victim->vpage = vpage;
   victim->last_use = use_clock_;
+  mru_ = static_cast<size_t>(victim - slots_.data());
   return false;
 }
 
 void Tlb::Clear() {
   slots_.clear();
+  mru_ = 0;
   use_clock_ = 0;
 }
 

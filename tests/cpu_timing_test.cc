@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <map>
 
 #include "src/cpu/cpu.h"
@@ -19,7 +20,7 @@ class FlatContext : public ExecContext {
   explicit FlatContext(std::shared_ptr<ExecutableImage> image)
       : image_(std::move(image)) {
     for (uint32_t word : image_->text()) {
-      decoded_.push_back(Decode(word).value_or(DecodedInst{}));
+      decoded_.emplace_back(Decode(word).value_or(DecodedInst{}));
     }
     regs_.pc = image_->text_base();
   }
@@ -41,14 +42,14 @@ class FlatContext : public ExecContext {
     return true;
   }
   uint64_t Translate(uint64_t vaddr) override { return vaddr; }
-  const DecodedInst* FetchInstruction(uint64_t pc) override {
-    if (!image_->ContainsPc(pc)) return nullptr;
-    return &decoded_[(pc - image_->text_base()) / kInstrBytes];
+  TextWindow FetchText(uint64_t pc) override {
+    if (!image_->ContainsPc(pc)) return TextWindow();
+    return TextWindow{image_->text_base(), image_->text_end(), decoded_.data()};
   }
 
  private:
   std::shared_ptr<ExecutableImage> image_;
-  std::vector<DecodedInst> decoded_;
+  std::vector<PredecodedInst> decoded_;
   RegFile regs_;
   std::map<uint64_t, uint8_t> memory_;
 };
@@ -258,6 +259,26 @@ loop:   subq r9, 1, r9
   RunResult rest = cpu.Run(ctx, 1'000'000'000);
   EXPECT_EQ(rest.reason, ExitReason::kHalted);
   EXPECT_EQ(ctx.regs().ReadInt(9), 0);
+}
+
+TEST(CpuTiming, LdaAndLdahWrapToInt64Min) {
+  // lda and ldah add in two's complement like the hardware: one past
+  // INT64_MAX wraps to INT64_MIN rather than overflowing a signed add.
+  auto image = Assemble("timing", 0x0100'0000, R"(
+        li   r1, -1
+        srl  r1, 1, r1        # INT64_MAX
+        lda  r2, 1(r1)
+        srl  r1, 16, r3
+        sll  r3, 16, r3       # INT64_MAX with its low 16 bits clear
+        ldah r4, 1(r3)
+        halt
+)");
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  FlatContext ctx(image.value());
+  Cpu cpu(0, CpuConfig{});
+  EXPECT_EQ(cpu.Run(ctx, 1'000'000).reason, ExitReason::kHalted);
+  EXPECT_EQ(ctx.regs().ReadInt(2), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(ctx.regs().ReadInt(4), std::numeric_limits<int64_t>::min());
 }
 
 TEST(CpuTiming, BadPcStopsExecution) {

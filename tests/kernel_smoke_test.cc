@@ -151,6 +151,41 @@ out:    .quad 0
   EXPECT_EQ(value, 14u);
 }
 
+TEST(KernelSmoke, LoadWhoseAddressWrapsFaults) {
+  // Effective addresses wrap modulo 2^64. The wrapped address is unmapped,
+  // so the load ends the process with an error instead of reading memory:
+  // both when base + displacement wraps (INT64_MAX + 8) and when the eight
+  // bytes at 2^64 - 4 run past the top of the address space.
+  const char* sources[] = {
+      R"(
+        .text
+        .proc main
+        li    r1, -1
+        srl   r1, 1, r1
+        ldq   r2, 8(r1)
+        halt
+        .endp
+)",
+      R"(
+        .text
+        .proc main
+        lda   r1, -4(r31)
+        ldq   r2, 0(r1)
+        halt
+        .endp
+)",
+  };
+  for (const char* source : sources) {
+    auto image = MustAssemble("wrap", 0x0100'0000, source);
+    Kernel kernel(KernelConfig{});
+    auto process = kernel.CreateProcess("wrap", {image}, "main");
+    ASSERT_TRUE(process.ok()) << process.status().ToString();
+    kernel.Run();
+    EXPECT_TRUE(kernel.HadProcessError()) << source;
+    EXPECT_EQ(process.value()->state(), ProcessState::kDone) << source;
+  }
+}
+
 TEST(KernelSmoke, MultiCpuRunsAllProcesses) {
   const char* source = R"(
         .text

@@ -48,6 +48,17 @@ TEST(Cache, StatsAndInvalidate) {
   EXPECT_FALSE(cache.Probe(0));
 }
 
+TEST(CacheDeathTest, InvalidGeometryAbortsInEveryBuild) {
+  // Lookups index by shift and mask, so the constructor refuses geometries
+  // that would mis-index; the check is not an assert, so it holds with
+  // NDEBUG too.
+  EXPECT_DEATH(Cache({3072, 24, 1}), "invalid cache geometry");  // line 24
+  EXPECT_DEATH(Cache({3072, 32, 1}), "invalid cache geometry");  // 96 sets
+  EXPECT_DEATH(Cache({1000, 32, 1}), "invalid cache geometry");  // partial set
+  EXPECT_DEATH(Cache({1024, 32, 0}), "invalid cache geometry");  // no ways
+  EXPECT_DEATH(Cache({1024, 0, 1}), "invalid cache geometry");   // no line
+}
+
 struct CacheSweepParam {
   uint64_t size;
   uint64_t line;

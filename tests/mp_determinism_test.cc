@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/workloads/workloads.h"
+#include "tests/scratch_dir.h"
 
 namespace dcpi {
 namespace {
@@ -132,13 +133,13 @@ TEST(MpDeterminism, BatchedIngestWritesByteIdenticalDatabase) {
   // The batched staging path and the legacy per-sample path must produce
   // byte-identical on-disk databases — same files, same bytes — at one CPU
   // (sequential scheduler) and four (threaded collection + drain thread).
+  ScratchDir scratch;
   for (uint32_t cpus : {1u, 4u}) {
     std::map<std::string, std::vector<uint8_t>> trees[2];
     int index = 0;
     for (bool batched : {true, false}) {
-      std::string root = "/tmp/dcpi_mp_ingest_db_" + std::to_string(cpus) +
+      std::string root = scratch.path() + "/ingest_db_" + std::to_string(cpus) +
                          (batched ? "_batched" : "_legacy");
-      std::filesystem::remove_all(root);
       SystemConfig config = MpConfig(/*jitter_seed=*/batched ? 0 : 42);
       config.kernel.num_cpus = cpus;
       config.daemon.batched_ingest = batched;
@@ -146,7 +147,6 @@ TEST(MpDeterminism, BatchedIngestWritesByteIdenticalDatabase) {
       RunOutcome out = RunOnce(config);
       EXPECT_GT(out.total_samples, 0u);
       trees[index++] = ReadTree(root);
-      std::filesystem::remove_all(root);
     }
     EXPECT_FALSE(trees[0].empty()) << cpus << " cpus";
     EXPECT_EQ(trees[0], trees[1]) << cpus << " cpus";
@@ -159,13 +159,13 @@ TEST(MpDeterminism, MemFractionZeroWritesByteIdenticalDatabase) {
   // is never consulted, no version-4 files appear, and the on-disk
   // database is byte-identical to a build that never heard of wide
   // records — at one CPU and at four.
+  ScratchDir scratch;
   for (uint32_t cpus : {1u, 4u}) {
     std::map<std::string, std::vector<uint8_t>> trees[2];
     int index = 0;
     for (bool explicit_zero : {false, true}) {
-      std::string root = "/tmp/dcpi_mp_memfrac_db_" + std::to_string(cpus) +
+      std::string root = scratch.path() + "/memfrac_db_" + std::to_string(cpus) +
                          (explicit_zero ? "_zero" : "_default");
-      std::filesystem::remove_all(root);
       SystemConfig config = MpConfig(/*jitter_seed=*/explicit_zero ? 17 : 0);
       config.kernel.num_cpus = cpus;
       config.db_root = root;
@@ -173,7 +173,6 @@ TEST(MpDeterminism, MemFractionZeroWritesByteIdenticalDatabase) {
       RunOutcome out = RunOnce(config);
       EXPECT_GT(out.total_samples, 0u);
       trees[index++] = ReadTree(root);
-      std::filesystem::remove_all(root);
     }
     EXPECT_FALSE(trees[0].empty()) << cpus << " cpus";
     EXPECT_EQ(trees[0], trees[1]) << cpus << " cpus";
@@ -190,18 +189,17 @@ TEST(MpDeterminism, MemSamplingIsDeterministicAcrossInterleavings) {
   // With wide records on, the database (now holding version-4 profiles)
   // must still depend only on the simulated machine: identical trees
   // across host-thread jitter seeds, at four CPUs.
+  ScratchDir scratch;
   std::map<std::string, std::vector<uint8_t>> trees[2];
   int index = 0;
   for (uint32_t jitter : {0u, 1234u}) {
-    std::string root = "/tmp/dcpi_mp_memwide_db_" + std::to_string(jitter);
-    std::filesystem::remove_all(root);
+    std::string root = scratch.path() + "/memwide_db_" + std::to_string(jitter);
     SystemConfig config = MpConfig(jitter);
     config.db_root = root;
     config.mem_fraction = 0.25;
     RunOutcome out = RunOnce(config);
     EXPECT_GT(out.total_samples, 0u);
     trees[index++] = ReadTree(root);
-    std::filesystem::remove_all(root);
   }
   EXPECT_FALSE(trees[0].empty());
   EXPECT_EQ(trees[0], trees[1]);

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "src/workloads/workloads.h"
+#include "tests/scratch_dir.h"
 
 namespace dcpi {
 namespace {
@@ -73,11 +73,11 @@ TEST(PipelineIntegration, SamplesAreProportionalToHeadCycles) {
 }
 
 TEST(PipelineIntegration, ProfilesPersistToDatabase) {
+  ScratchDir scratch;
   WorkloadFactory factory(/*scale=*/0.1);
   Workload workload = factory.X11PerfLike();
   SystemConfig config = DenseSamplingConfig(ProfilingMode::kDefault);
-  config.db_root = "/tmp/dcpi_test_db";
-  std::filesystem::remove_all(config.db_root);
+  config.db_root = scratch.path() + "/db";
   System system(config);
   ASSERT_TRUE(workload.Instantiate(&system).ok());
   SystemResult result = system.Run();
@@ -94,7 +94,6 @@ TEST(PipelineIntegration, ProfilesPersistToDatabase) {
   auto on_disk = db->ReadProfile(db->current_epoch(), "Xserver", EventType::kCycles);
   ASSERT_TRUE(on_disk.ok()) << on_disk.status().ToString();
   EXPECT_GT(on_disk.value().total_samples(), 0u);
-  std::filesystem::remove_all(config.db_root);
 }
 
 TEST(PipelineIntegration, BaseModeHasNoProfilingMachinery) {
