@@ -12,7 +12,11 @@
 // collection rate; 333 MHz Alpha clock). Host wall-clock throughput is
 // reported as a secondary column — on a single-core host the worker
 // threads time-share one core, so wall-clock scaling only appears on
-// multi-core hosts.
+// multi-core hosts. `host cpu ms` is the process CPU time spent in the
+// run: the busy workers plus whatever the drain thread burns, so a thread
+// that spins while idle shows up as CPU time above the workers' share.
+
+#include <time.h>
 
 #include <chrono>
 
@@ -24,7 +28,13 @@ using namespace dcpi::bench;
 
 namespace {
 constexpr double kClockHz = 333e6;  // the paper's AlphaStation generation
+
+double ProcessCpuSec() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
 }
+}  // namespace
 
 int main() {
   PrintHeader("bench_mp_scaling: per-CPU collection throughput vs CPU count",
@@ -35,7 +45,7 @@ int main() {
 
   TextTable table;
   table.SetHeader({"cpus", "samples", "sim cycles", "samples/sim-sec",
-                   "scaling", "host ms", "samples/host-sec"});
+                   "scaling", "host ms", "host cpu ms", "samples/host-sec"});
   for (uint32_t cpus : {1u, 2u, 4u, 8u}) {
     WorkloadFactory factory(/*scale=*/0.1, /*seed=*/1);
     Workload workload = factory.ParallelSpecFp(cpus);
@@ -53,7 +63,9 @@ int main() {
       return 1;
     }
     auto host_start = std::chrono::steady_clock::now();
+    double cpu_start = ProcessCpuSec();
     SystemResult result = system.Run();
+    double cpu_sec = ProcessCpuSec() - cpu_start;
     double host_sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - host_start)
             .count();
@@ -73,6 +85,7 @@ int main() {
     table.AddRow({std::to_string(cpus), std::to_string(samples),
                   std::to_string(result.elapsed_cycles), TextTable::Fixed(sim_rate, 0),
                   scaling, TextTable::Fixed(host_sec * 1e3, 1),
+                  TextTable::Fixed(cpu_sec * 1e3, 1),
                   TextTable::Fixed(host_sec > 0 ? samples / host_sec : 0, 0)});
   }
   table.Print();

@@ -301,6 +301,10 @@ void Daemon::StartDrainThread() {
   driver_->SetDrainMode(DrainMode::kConcurrent);
   drain_thread_ = std::thread([this] {
     while (true) {
+      // Read the doorbell before the sweep: a publish, clock advance or
+      // stop request that lands after this read moves the doorbell on, so
+      // the wait below returns at once instead of sleeping through it.
+      uint32_t seen = driver_->DrainDoorbell();
       size_t consumed = driver_->DrainPublished();
       // Timed flushes ride the drain thread: the clock is published by
       // the CPU workers, so flush times are simulated-deterministic even
@@ -311,7 +315,7 @@ void Daemon::StartDrainThread() {
         // sweep after the flag means nothing more can arrive: the
         // shutdown wait is bounded.
         if (drain_stop_.load(std::memory_order_acquire)) break;
-        std::this_thread::yield();
+        driver_->WaitDrainDoorbell(seen);
       }
     }
   });
@@ -320,6 +324,7 @@ void Daemon::StartDrainThread() {
 void Daemon::StopDrainThread() {
   if (!drain_thread_running()) return;
   drain_stop_.store(true, std::memory_order_release);
+  driver_->RingDrainDoorbell();
   drain_thread_.join();
   driver_->DrainPublished();  // anything published after the final sweep
   driver_->SetDrainMode(DrainMode::kInline);
@@ -380,6 +385,8 @@ void Daemon::PublishSimTime(uint64_t now) {
          !sim_now_.compare_exchange_weak(current, now, std::memory_order_release,
                                          std::memory_order_relaxed)) {
   }
+  // A timed flush may have come due: wake a parked drain thread.
+  if (driver_ != nullptr) driver_->RingDrainDoorbell();
 }
 
 bool Daemon::MaybeTimedFlush() {

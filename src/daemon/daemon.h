@@ -10,9 +10,13 @@
 //
 // Multiprocessor collection: StartDrainThread() spawns a dedicated drain
 // thread that concurrently consumes the driver's published overflow
-// buffers while one host thread per simulated CPU delivers samples.
-// ProcessBuffer is thread-safe: the load maps are guarded by a
-// reader/writer lock, aggregate counters are atomics, and each
+// buffers while one host thread per simulated CPU delivers samples. The
+// thread parks on the driver's drain doorbell after a sweep that finds
+// nothing, and is woken exactly when there is work: a buffer was
+// published, PublishSimTime() advanced the clock (a timed flush may be
+// due), or StopDrainThread() asked it to exit. So it costs no host CPU
+// while idle. ProcessBuffer is thread-safe: the load maps are guarded by
+// a reader/writer lock, aggregate counters are atomics, and each
 // (image, event) profile is guarded by its own mutex so merges into
 // different profiles do not contend. StopDrainThread() is a bounded-wait
 // shutdown: once producers have quiesced, the drain thread performs one
@@ -150,7 +154,8 @@ class Daemon {
   // switches the driver to DrainMode::kConcurrent; Stop joins the thread,
   // performs a final sweep, and restores inline draining. Stop must be
   // called only after the sample-producing threads have quiesced. While
-  // running, the drain thread also performs any due timed flushes.
+  // running, the drain thread also performs any due timed flushes, and
+  // sleeps on the driver's drain doorbell when it has nothing to do.
   void StartDrainThread();
   void StopDrainThread();
   bool drain_thread_running() const { return drain_thread_.joinable(); }
@@ -164,8 +169,9 @@ class Daemon {
   // ---- Epoch lifecycle ----
 
   // Advances the daemon's view of the simulated clock (atomic max, so
-  // per-CPU workers may publish concurrently). Timed flushes are due
-  // against this clock, keeping them at deterministic simulated times.
+  // per-CPU workers may publish concurrently) and wakes the drain thread.
+  // Timed flushes are due against this clock, keeping them at
+  // deterministic simulated times.
   void PublishSimTime(uint64_t now);
 
   // Performs a due timed flush, if any. Safe to call concurrently with
@@ -286,7 +292,9 @@ class Daemon {
   // Lock-free epoch-trigger state. Invariants:
   //  * sim_now_ is a monotone max published by the per-CPU workers (CAS
   //    loop, release); the drain thread reads it with acquire, so a flush
-  //    that fires at T observes every sample published before T.
+  //    that fires at T observes every sample published before T. Each
+  //    publish then rings the driver's drain doorbell, so a parked drain
+  //    thread re-checks the clock.
   //  * next_flush_due_ is written only under flush_mu_ (the re-arm after
   //    a flush); the lock-free read in MaybeTimedFlush is a cheap
   //    early-out, re-validated under flush_mu_ before flushing.

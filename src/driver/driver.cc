@@ -27,6 +27,10 @@ void DcpiDriver::PublishActive(uint32_t cpu_id, PerCpu* cpu) {
     // No drain thread: consume the just-published buffer synchronously,
     // which reproduces the original synchronous-callback behaviour.
     DrainCpuPublished(cpu_id);
+  } else {
+    // Wake the parked drain thread. Ringing before the backpressure wait
+    // below is what lets that wait end.
+    RingDrainDoorbell();
   }
   OverflowBuffer& spare = cpu->buffers[cpu->active_buffer ^ 1];
   bool waited = false;
@@ -152,6 +156,11 @@ size_t DcpiDriver::DrainCpuPublished(uint32_t cpu_id) {
     ++consumed;
   }
   return consumed;
+}
+
+void DcpiDriver::RingDrainDoorbell() {
+  doorbell_.fetch_add(1, std::memory_order_release);
+  doorbell_.notify_all();  // no syscall when nobody is waiting
 }
 
 size_t DcpiDriver::DrainPublished() {

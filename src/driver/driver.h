@@ -21,10 +21,13 @@
 // with a release store of kFree. In `kInline` drain mode (single-threaded
 // simulation) the producer consumes its own published buffers immediately,
 // reproducing the original synchronous callback exactly. In `kConcurrent`
-// mode a daemon drain thread consumes them; if the daemon falls behind,
-// the producer spin-waits (host-level backpressure, invisible in simulated
-// time) instead of dropping records, so collection is lossless and the
-// merged profile is independent of host-thread interleaving.
+// mode every publish also rings a doorbell: a sequence number the producer
+// bumps after the kPublished store, which wakes a daemon drain thread
+// parked on it, so the drainer sleeps between buffers instead of polling.
+// If the daemon falls behind, the producer spin-waits (host-level
+// backpressure, invisible in simulated time) instead of dropping records,
+// so collection is lossless and the merged profile is independent of
+// host-thread interleaving.
 //
 // The handler's cost in simulated cycles comes from a calibrated cost
 // model: a fixed interrupt setup/teardown (the paper measures ~214 cycles
@@ -181,6 +184,18 @@ class DcpiDriver : public SampleSink {
   // concurrently with DeliverSample (and with other drainers).
   size_t DrainPublished();
 
+  // The drain doorbell. A drainer reads DrainDoorbell() before a sweep
+  // and, if the sweep found nothing, calls WaitDrainDoorbell() with that
+  // value: it blocks until a publish (kConcurrent mode) or a
+  // RingDrainDoorbell() call moves the sequence on, and returns at once if
+  // one already has. RingDrainDoorbell() wakes the drainer for work that
+  // is not a buffer (a due timed flush, shutdown). Any thread.
+  uint32_t DrainDoorbell() const { return doorbell_.load(std::memory_order_acquire); }
+  void RingDrainDoorbell();
+  void WaitDrainDoorbell(uint32_t seen) const {
+    doorbell_.wait(seen, std::memory_order_acquire);
+  }
+
   // The daemon's final full flush: drains published buffers, then each
   // CPU's hash table and residual overflow records through the overflow
   // handler. Requires quiescence (no concurrent producers).
@@ -224,6 +239,13 @@ class DcpiDriver : public SampleSink {
   //    re-claim (kFree -> kProducer), completing the handoff cycle.
   //  * A buffer is claimed by at most one drainer at a time: the CAS from
   //    kPublished can succeed on exactly one thread.
+  //  * `doorbell_` carries no data and owns nothing; it only wakes. A ring
+  //    is a release fetch_add ordered after the state it announces (the
+  //    kPublished store, or the caller's own stores), and a drainer reads
+  //    it with acquire before sweeping. A drainer whose read saw a ring
+  //    therefore sees what the ring announced; one whose read preceded the
+  //    ring waits on a stale value, and the wait returns at once. So no
+  //    wakeup is lost.
   struct OverflowBuffer {
     std::vector<OverflowRecord> records;  // sized to capacity up front
     size_t count = 0;                     // written by the current owner only
@@ -261,6 +283,8 @@ class DcpiDriver : public SampleSink {
   std::vector<PerCpu> per_cpu_;
   OverflowHandler overflow_handler_;
   DrainMode drain_mode_ = DrainMode::kInline;
+  // On its own cache line: every producer writes it, the drainer reads it.
+  alignas(64) std::atomic<uint32_t> doorbell_{0};
 };
 
 }  // namespace dcpi

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "src/isa/assembler.h"
 #include "src/isa/image_io.h"
 #include "src/workloads/workloads.h"
+#include "tests/scratch_dir.h"
 #include "tests/testgen.h"
 
 namespace dcpi {
@@ -490,9 +490,8 @@ TEST(ScheduleCheck, RealSchedulesPassMutatedSchedulesFail) {
 // ---- End to end: dcpicheck over the Figure 7 copy workload -----------------
 
 TEST(Dcpicheck, CopyWorkloadDatabaseIsViolationFree) {
-  const std::string root = "/tmp/dcpi_check_test";
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
+  ScratchDir scratch;
+  const std::string& root = scratch.path();
 
   WorkloadFactory factory(/*scale=*/0.5);
   Workload workload = factory.McCalpin(StreamKernel::kCopy);
@@ -517,7 +516,6 @@ TEST(Dcpicheck, CopyWorkloadDatabaseIsViolationFree) {
   options.image_files = {image_path};
   CheckReport report = RunDcpicheck(options);
   EXPECT_TRUE(report.empty()) << report.ToString();
-  std::filesystem::remove_all(root);
 }
 
 // Self-check through the analyzer facade: the flag routes the verification

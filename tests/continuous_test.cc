@@ -23,16 +23,10 @@
 #include "src/tools/dcpiprof.h"
 #include "src/tools/toolkit.h"
 #include "src/workloads/workloads.h"
+#include "tests/scratch_dir.h"
 
 namespace dcpi {
 namespace {
-
-std::string FreshRoot(const std::string& name) {
-  std::string root = "/tmp/dcpi_continuous_" + name;
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
-  return root;
-}
 
 SystemConfig ContinuousConfig(const std::string& db_root, uint32_t cpus = 1) {
   SystemConfig config;
@@ -75,7 +69,8 @@ std::map<std::string, uint64_t> ImageTotals(const ProfileDatabase& db,
 }
 
 TEST(Continuous, MapChangeRollsSealEveryRetiredEpoch) {
-  const std::string root = FreshRoot("rolls");
+  ScratchDir scratch;
+  const std::string& root = scratch.path();
   WorkloadFactory factory(/*scale=*/0.25);
   Workload workload = factory.SpecIntLike();
   System system(ContinuousConfig(root + "/db"));
@@ -99,11 +94,11 @@ TEST(Continuous, MapChangeRollsSealEveryRetiredEpoch) {
     EXPECT_FALSE(files.value().empty()) << "sealed epoch " << sealed[i]
                                         << " is empty";
   }
-  std::filesystem::remove_all(root);
 }
 
 TEST(Continuous, SampleTotalsMatchSegmentedBatch) {
-  const std::string root = FreshRoot("conserve");
+  ScratchDir scratch;
+  const std::string& root = scratch.path();
   WorkloadFactory factory(/*scale=*/0.25);
 
   // Continuous: three segments, epoch rolls between them.
@@ -139,11 +134,11 @@ TEST(Continuous, SampleTotalsMatchSegmentedBatch) {
   EXPECT_EQ(cont_totals, batch_totals);
   EXPECT_GE(cont_db.ListSealedEpochs().size(), 3u);
   EXPECT_EQ(batch_db.ListSealedEpochs().size(), 1u);
-  std::filesystem::remove_all(root);
 }
 
 TEST(Continuous, ConcurrentReaderMatchesPostHocListing) {
-  const std::string root = FreshRoot("reader");
+  ScratchDir scratch;
+  const std::string& root = scratch.path();
   WorkloadFactory factory(/*scale=*/0.25);
   Workload workload = factory.SpecIntLike();
   // Two simulated CPUs: the threaded collection path runs a concurrent
@@ -205,41 +200,49 @@ TEST(Continuous, ConcurrentReaderMatchesPostHocListing) {
   // The database kept growing while the reader ran.
   ProfileDatabase db(root + "/db", DbOpenMode::kReadOnly);
   EXPECT_GT(db.ListSealedEpochs().size(), sealed_prefix.size());
-  std::filesystem::remove_all(root);
 }
 
 TEST(Continuous, TimedFlushesPersistTheLiveEpoch) {
-  const std::string root = FreshRoot("flush");
+  // One CPU takes the sequential path, where the quiesce-point ticks run
+  // the timed flushes. Two CPUs take the threaded path, where the drain
+  // thread runs them while the workers deliver samples, woken by the
+  // workers' clock publishes.
+  ScratchDir scratch;
   WorkloadFactory factory(/*scale=*/0.25);
-  Workload workload = factory.SpecIntLike();
-  SystemConfig config = ContinuousConfig(root + "/db");
-  config.roll_on_map_change = false;
-  // Flush and drain often enough that several timed flushes land mid-run.
-  config.daemon_drain_interval = 200'000;
-  config.daemon_flush_interval = 400'000;
-  System system(config);
-  ASSERT_TRUE(workload.Instantiate(&system).ok());
-  SystemResult result = system.Run();
-  ASSERT_FALSE(result.had_error);
-  EXPECT_GE(result.daemon.timed_flushes, 2u);
-  ASSERT_TRUE(system.SealCurrentEpoch().ok());
+  for (uint32_t cpus : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(cpus) + " cpu(s)");
+    Workload workload = cpus == 1 ? factory.SpecIntLike() : factory.Timesharing(cpus);
+    const std::string db_root = scratch.path() + "/db" + std::to_string(cpus);
+    SystemConfig config = ContinuousConfig(db_root, cpus);
+    config.roll_on_map_change = false;
+    // Flush and drain often enough that several timed flushes land mid-run.
+    config.daemon_drain_interval = 200'000;
+    config.daemon_flush_interval = 400'000;
+    System system(config);
+    ASSERT_TRUE(workload.Instantiate(&system).ok());
+    SystemResult result = system.Run();
+    ASSERT_FALSE(result.had_error);
+    EXPECT_GE(result.daemon.timed_flushes, 2u);
+    ASSERT_TRUE(system.SealCurrentEpoch().ok());
 
-  // Periodic flushes replace rather than merge: the on-disk totals match
-  // the collected totals exactly despite the repeated mid-run writes.
-  uint64_t db_total = 0;
-  ProfileDatabase db(root + "/db", DbOpenMode::kReadOnly);
-  for (const ImageTruth& truth : system.kernel().ground_truth().images()) {
-    Result<ImageProfile> merged = ReadMergedProfile(
-        db, db.ListSealedEpochs(), truth.image->name(), EventType::kCycles);
-    if (merged.ok()) db_total += merged.value().total_samples();
+    // Periodic flushes replace rather than merge: the on-disk totals match
+    // the collected totals exactly despite the repeated mid-run writes.
+    uint64_t db_total = 0;
+    ProfileDatabase db(db_root, DbOpenMode::kReadOnly);
+    for (const ImageTruth& truth : system.kernel().ground_truth().images()) {
+      Result<ImageProfile> merged = ReadMergedProfile(
+          db, db.ListSealedEpochs(), truth.image->name(), EventType::kCycles);
+      if (merged.ok()) db_total += merged.value().total_samples();
+    }
+    EXPECT_GT(db_total, 0u);
+    EXPECT_EQ(db_total,
+              result.samples[static_cast<int>(EventType::kCycles)]);
   }
-  EXPECT_EQ(db_total,
-            result.samples[static_cast<int>(EventType::kCycles)]);
-  std::filesystem::remove_all(root);
 }
 
 TEST(Continuous, WarmReanalysisHitsTheResultCache) {
-  const std::string root = FreshRoot("cache");
+  ScratchDir scratch;
+  const std::string& root = scratch.path();
   WorkloadFactory factory(/*scale=*/0.25);
   Workload workload = factory.SpecIntLike();
   System system(ContinuousConfig(root + "/db"));
@@ -276,7 +279,6 @@ TEST(Continuous, WarmReanalysisHitsTheResultCache) {
     EXPECT_EQ(warm.merged[i].samples, cold.merged[i].samples);
     EXPECT_EQ(warm.merged[i].epochs_present, cold.merged[i].epochs_present);
   }
-  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -3,16 +3,21 @@
 // path must produce byte-identical profiles to the legacy per-sample path
 // over partially-filled buffers, duplicate flushes, zero-count records,
 // off-grid PCs, and unknown samples — and staged counts must never leak
-// across a sealed epoch boundary.
+// across a sealed epoch boundary. The drain thread's wait protocol is
+// pinned here too: it parks without burning CPU, and a clock advance
+// wakes it for a due timed flush.
 
 #include <gtest/gtest.h>
+#include <time.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "src/isa/assembler.h"
 #include "src/profiledb/database.h"
 #include "src/support/rng.h"
+#include "tests/scratch_dir.h"
 
 namespace dcpi {
 namespace {
@@ -179,15 +185,59 @@ TEST(DaemonIngest, BatchedAmortizesLockAcquisitions) {
   EXPECT_EQ(daemon.stats().staging_drains, drains_before + 1);
 }
 
+// Host CPU time consumed by the whole process so far, in milliseconds.
+double ProcessCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+TEST(DaemonIngest, ParkedDrainThreadBurnsNoCpu) {
+  // No producers: after its first empty sweep the drain thread must sleep
+  // on the driver's doorbell, not poll. A polling thread burns one whole
+  // core, i.e. about as much CPU time as wall time passes.
+  DcpiDriver driver(2, DriverConfig{});
+  Daemon daemon(&driver, nullptr);
+  daemon.StartDrainThread();
+  double cpu_start = ProcessCpuMs();
+  auto wall_start = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  double cpu_ms = ProcessCpuMs() - cpu_start;
+  double wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - wall_start)
+                       .count();
+  daemon.StopDrainThread();  // must return while the thread is parked
+  EXPECT_LT(cpu_ms, 0.1 * wall_ms) << cpu_ms << " ms CPU in " << wall_ms << " ms";
+}
+
+TEST(DaemonIngest, SimTimeWakesParkedDrainThread) {
+  // A due timed flush is work that no published buffer announces: the
+  // clock advance itself must wake the parked drain thread.
+  ScratchDir scratch;
+  ProfileDatabase db(scratch.path() + "/db");
+  DcpiDriver driver(1, DriverConfig{});
+  Daemon daemon(&driver, &db);
+  EpochPolicy policy;
+  policy.flush_interval_cycles = 1000;
+  daemon.set_epoch_policy(policy);
+  daemon.StartDrainThread();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let it park
+  EXPECT_EQ(daemon.stats().timed_flushes, 0u);
+
+  daemon.PublishSimTime(1000);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (daemon.stats().timed_flushes == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(daemon.stats().timed_flushes, 1u);
+  daemon.StopDrainThread();
+}
+
 class IngestDbTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    root_ = std::string("/tmp/dcpi_ingest_test_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(root_);
-  }
-  void TearDown() override { std::filesystem::remove_all(root_); }
-  std::string root_;
+  ScratchDir scratch_;
+  const std::string root_ = scratch_.path() + "/db";
 };
 
 TEST_F(IngestDbTest, EpochRollFlushesStagingIntoSealedEpoch) {
@@ -237,7 +287,6 @@ TEST_F(IngestDbTest, BatchedAndLegacyWriteIdenticalDatabases) {
   int index = 0;
   for (const DaemonConfig& config : {Batched(), Legacy()}) {
     std::string root = root_ + (config.batched_ingest ? "_batched" : "_legacy");
-    std::filesystem::remove_all(root);
     {
       ProfileDatabase db(root);
       Daemon daemon(nullptr, &db, {}, config);
@@ -258,7 +307,6 @@ TEST_F(IngestDbTest, BatchedAndLegacyWriteIdenticalDatabases) {
       files[index][rel] = std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
                                                std::istreambuf_iterator<char>());
     }
-    std::filesystem::remove_all(root);
     ++index;
   }
   EXPECT_EQ(files[0], files[1]);

@@ -58,13 +58,16 @@ TEST(DriverConcurrency, NoSampleLostOrDoubleCountedUnderConcurrentDrain) {
 
   std::atomic<uint32_t> producers_live{kCpus};
   std::thread drainer([&] {
-    // Keep consuming until every producer is done and a final sweep is
-    // empty (the daemon drain thread's loop, inlined).
+    // The daemon drain thread's loop, inlined: read the doorbell, sweep,
+    // and park on the doorbell after an empty sweep. Every publish rings
+    // it, so this hammers the publish-to-wake edge; the main thread's ring
+    // after the producers join lets the final empty sweep exit.
     while (true) {
+      uint32_t seen = driver.DrainDoorbell();
       size_t consumed = driver.DrainPublished();
       if (consumed == 0) {
         if (producers_live.load(std::memory_order_acquire) == 0) break;
-        std::this_thread::yield();
+        driver.WaitDrainDoorbell(seen);
       }
     }
   });
@@ -91,6 +94,7 @@ TEST(DriverConcurrency, NoSampleLostOrDoubleCountedUnderConcurrentDrain) {
   }
 
   for (std::thread& p : producers) p.join();
+  driver.RingDrainDoorbell();
   drainer.join();
   driver.SetDrainMode(DrainMode::kInline);
   driver.FlushAll();  // hash-table residue + unpublished active buffers

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/isa/assembler.h"
+#include "tests/scratch_dir.h"
 
 namespace dcpi {
 namespace {
@@ -73,12 +74,6 @@ std::vector<std::vector<uint8_t>> ResultBytes(const EpochAnalysis& epoch) {
     bytes.push_back(SerializeProcedureAnalysis(r.analysis));
   }
   return bytes;
-}
-
-std::string FreshCacheDir(const char* name) {
-  std::string dir = std::string("/tmp/dcpi_engine_test_") + name;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 TEST(EngineSerialization, RoundTripsThroughBytes) {
@@ -163,7 +158,8 @@ TEST(Engine, CacheHitsOnIdenticalInputs) {
   AnalysisConfig config;
   EngineOptions options;
   options.jobs = 2;
-  options.cache_dir = FreshCacheDir("hit");
+  ScratchDir scratch;
+  options.cache_dir = scratch.path() + "/cache";
 
   EpochAnalysis cold = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
   EXPECT_EQ(cold.cache_hits, 0u);
@@ -175,14 +171,14 @@ TEST(Engine, CacheHitsOnIdenticalInputs) {
   EXPECT_EQ(warm.cache_misses, 0u);
   for (const ProcedureResult& r : warm.procedures) EXPECT_TRUE(r.from_cache);
   EXPECT_EQ(ResultBytes(cold), ResultBytes(warm));
-  std::filesystem::remove_all(options.cache_dir);
 }
 
 TEST(Engine, CacheMissesWhenImageProfileOrConfigChanges) {
   Fixture f = MakeFixture();
   AnalysisConfig config;
   EngineOptions options;
-  options.cache_dir = FreshCacheDir("miss");
+  ScratchDir scratch;
+  options.cache_dir = scratch.path() + "/cache";
   AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);  // populate
 
   // Image content change: bump one addq literal (1 -> 9).
@@ -226,14 +222,14 @@ TEST(Engine, CacheMissesWhenImageProfileOrConfigChanges) {
   // The original inputs still hit.
   EpochAnalysis warm = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
   EXPECT_EQ(warm.cache_hits, warm.procedures.size());
-  std::filesystem::remove_all(options.cache_dir);
 }
 
 TEST(Engine, CorruptCacheEntriesAreIgnoredAndRecomputed) {
   Fixture f = MakeFixture();
   AnalysisConfig config;
   EngineOptions options;
-  options.cache_dir = FreshCacheDir("corrupt");
+  ScratchDir scratch;
+  options.cache_dir = scratch.path() + "/cache";
   EpochAnalysis cold = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
   std::vector<std::vector<uint8_t>> want = ResultBytes(cold);
 
@@ -262,14 +258,14 @@ TEST(Engine, CorruptCacheEntriesAreIgnoredAndRecomputed) {
   // The recompute rewrote the entries, so a third run hits again.
   EpochAnalysis warm = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
   EXPECT_EQ(warm.cache_hits, warm.procedures.size());
-  std::filesystem::remove_all(options.cache_dir);
 }
 
 TEST(Engine, AnalyzeOneUsesTheSameCacheAsAnalyzeAll) {
   Fixture f = MakeFixture();
   AnalysisConfig config;
   EngineOptions options;
-  options.cache_dir = FreshCacheDir("one");
+  ScratchDir scratch;
+  options.cache_dir = scratch.path() + "/cache";
   AnalysisEngine engine(options);
   const ProcedureSymbol* proc = f.image->FindProcedureByName("diamond");
   ProcedureResult first = engine.AnalyzeOne(InputFor(f), *proc, config);
@@ -280,7 +276,6 @@ TEST(Engine, AnalyzeOneUsesTheSameCacheAsAnalyzeAll) {
   EXPECT_TRUE(second.from_cache);
   EXPECT_EQ(SerializeProcedureAnalysis(first.analysis),
             SerializeProcedureAnalysis(second.analysis));
-  std::filesystem::remove_all(options.cache_dir);
 }
 
 TEST(Engine, MissingCyclesProfileYieldsErrorResult) {

@@ -14,6 +14,7 @@
 #include "src/support/stats.h"
 #include "src/support/status.h"
 #include "src/support/text_table.h"
+#include "tests/scratch_dir.h"
 
 namespace dcpi {
 namespace {
@@ -181,17 +182,9 @@ TEST(Crc32, KnownVectorsAndSensitivity) {
 
 class AtomicWriteTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::string("/tmp/dcpi_support_test_") +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override {
-    SetFaultInjectingEnv(nullptr);
-    std::filesystem::remove_all(dir_);
-  }
-  std::string dir_;
+  void TearDown() override { SetFaultInjectingEnv(nullptr); }
+  ScratchDir scratch_;
+  const std::string dir_ = scratch_.path();
 };
 
 TEST_F(AtomicWriteTest, RoundTripAndReplace) {
