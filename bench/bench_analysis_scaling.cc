@@ -21,7 +21,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -137,9 +136,8 @@ int main(int argc, char** argv) {
               "Section 6 analysis suite at fleet scale (ROADMAP: fast as the "
               "hardware allows)");
 
-  const std::string root = "/tmp/dcpi_bench_analysis_scaling";
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
+  const BenchDir dir;
+  const std::string& root = dir.path();
 
   // Several distinct images, each with a fan of procedures, so the engine
   // has a real whole-epoch (image, procedure) task list.
@@ -301,7 +299,5 @@ int main(int argc, char** argv) {
                 warm_all_hits ? "true" : "false", pass ? "true" : "false");
   std::ofstream("BENCH_analysis_scaling.json") << json;
   std::printf("\nwrote BENCH_analysis_scaling.json\n");
-
-  std::filesystem::remove_all(root);
   return pass ? 0 : 1;
 }

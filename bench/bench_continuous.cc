@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -120,9 +119,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string root = "/tmp/dcpi_bench_continuous";
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
+  const bench::BenchDir dir;
+  const std::string& root = dir.path();
   const int segments = smoke ? 3 : 8;
   WorkloadFactory factory(/*scale=*/smoke ? 0.25 : 1.0);
   Workload workload = factory.SpecIntLike();
@@ -189,7 +187,5 @@ int main(int argc, char** argv) {
        << "  \"sealed_epochs\": " << cont.sealed_epochs << ",\n"
        << "  \"gate_passed\": " << (ok ? "true" : "false") << "\n"
        << "}\n";
-
-  std::filesystem::remove_all(root);
   return ok ? 0 : 1;
 }

@@ -9,7 +9,7 @@
 // Expected shape here: strong positive correlation between per-procedure
 // IMISS events and attributed I-cache stall cycles (upper bound and
 // midpoint), using the I-cache-stress and mixed workloads to spread the
-// x-axis.
+// x-axis. Gate (exit 1): all three correlations are at least 0.7.
 
 #include "bench/bench_util.h"
 #include "src/support/stats.h"
@@ -86,16 +86,15 @@ int main() {
   for (size_t i = 0; i < stall_top.size(); ++i) {
     midpoint[i] = 0.5 * (stall_top[i] + stall_bottom[i]);
   }
+  const double r_top = PearsonCorrelation(imiss_events, stall_top);
+  const double r_bottom = PearsonCorrelation(imiss_events, stall_bottom);
+  const double r_mid = PearsonCorrelation(imiss_events, midpoint);
   std::printf("procedures: %zu\n\n", imiss_events.size());
   TextTable table;
   table.SetHeader({"series", "correlation with IMISS events", "paper"});
-  table.AddRow({"top of range",
-                TextTable::Fixed(PearsonCorrelation(imiss_events, stall_top), 3), "0.91"});
-  table.AddRow({"bottom of range",
-                TextTable::Fixed(PearsonCorrelation(imiss_events, stall_bottom), 3),
-                "0.86"});
-  table.AddRow({"midpoint",
-                TextTable::Fixed(PearsonCorrelation(imiss_events, midpoint), 3), "0.90"});
+  table.AddRow({"top of range", TextTable::Fixed(r_top, 3), "0.91"});
+  table.AddRow({"bottom of range", TextTable::Fixed(r_bottom, 3), "0.86"});
+  table.AddRow({"midpoint", TextTable::Fixed(r_mid, 3), "0.90"});
   table.Print();
 
   std::printf("\nscatter (IMISS events vs attributed I-cache stall-cycle range):\n");
@@ -104,5 +103,14 @@ int main() {
     std::printf("  imiss=%10.0f  stall=[%10.0f, %10.0f]\n", imiss_events[i],
                 stall_bottom[i], stall_top[i]);
   }
+
+  // Negated so a NaN correlation (no spread) fails too.
+  if (!(r_top >= 0.7 && r_bottom >= 0.7 && r_mid >= 0.7)) {
+    std::fprintf(stderr,
+                 "GATE FAILED: r = %.3f/%.3f/%.3f (top/bottom/mid), need >= 0.7\n",
+                 r_top, r_bottom, r_mid);
+    return 1;
+  }
+  std::printf("gate passed: every correlation >= 0.7\n");
   return 0;
 }

@@ -8,7 +8,8 @@
 //
 // Expected shape here: a histogram strongly peaked around 0 error, a clear
 // majority within 10-15%, and the far tails dominated by low-confidence
-// estimates.
+// estimates. Gate (exit 1): the within-5/10/15% shares meet the paper's
+// 73/87/92%.
 
 #include "bench/accuracy_util.h"
 
@@ -47,5 +48,17 @@ int main() {
     std::printf("share of >15%% errors carrying low confidence: %.0f%%\n",
                 100.0 * tail_low / tail_total);
   }
+
+  // Negated so an empty histogram's NaN share fails too.
+  if (!(overall.FractionWithin(5) >= 0.73 && overall.FractionWithin(10) >= 0.87 &&
+        overall.FractionWithin(15) >= 0.92)) {
+    std::fprintf(stderr,
+                 "GATE FAILED: within 5/10/15%% = %.1f/%.1f/%.1f%%, below the "
+                 "paper's 73/87/92%%\n",
+                 100.0 * overall.FractionWithin(5), 100.0 * overall.FractionWithin(10),
+                 100.0 * overall.FractionWithin(15));
+    return 1;
+  }
+  std::printf("gate passed: within 5/10/15%% meets the paper's 73/87/92%%\n");
   return 0;
 }

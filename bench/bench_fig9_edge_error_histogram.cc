@@ -6,7 +6,9 @@
 // block estimates: 58% of edge executions within 10%.
 //
 // Expected shape here: a histogram peaked at 0 but visibly wider than the
-// Figure 8 instruction histogram, with a smaller within-10% share.
+// Figure 8 instruction histogram, with a smaller within-10% share. Gate
+// (exit 1): the edge within-10% share is at least the paper's 58% and
+// below the same runs' instruction within-10% share.
 
 #include "bench/accuracy_util.h"
 
@@ -29,9 +31,22 @@ int main() {
 
   PrintHistogram("edge-frequency error histogram (weight: edge executions)",
                  collector.edge_by_conf, collector.edge_overall);
+  const double edges = collector.edge_overall.FractionWithin(10);
+  const double instructions = collector.instr_overall.FractionWithin(10);
   std::printf("\npaper: 58%% of edge executions within 10%%\n");
   std::printf("instruction estimates for the same runs: %.0f%% within 10%% "
               "(edges should be noticeably worse)\n",
-              100.0 * collector.instr_overall.FractionWithin(10));
+              100.0 * instructions);
+
+  // Negated so an empty histogram's NaN share fails too.
+  if (!(edges >= 0.58 && edges < instructions)) {
+    std::fprintf(stderr,
+                 "GATE FAILED: edges %.1f%% within 10%% (need >= 58%% and below "
+                 "the instructions' %.1f%%)\n",
+                 100.0 * edges, 100.0 * instructions);
+    return 1;
+  }
+  std::printf("gate passed: edges >= 58%% within 10%% and less accurate than "
+              "instructions\n");
   return 0;
 }

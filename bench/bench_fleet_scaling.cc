@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/analysis/engine.h"
 #include "src/profiledb/fleet.h"
 #include "src/sim/system.h"
@@ -186,7 +187,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string root = "/tmp/dcpi_bench_fleet";
+  const bench::BenchDir dir;
+  const std::string root = dir.path() + "/fleet";
   const int segments = smoke ? 2 : 3;
   const std::vector<int> fleet_sizes = smoke ? std::vector<int>{1, 2}
                                              : std::vector<int>{1, 4, 8};

@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
               "Section 5.2 overhead contract + the ProfileMe memory axis");
 
   const double scale = smoke ? 0.1 : 0.3;
-  const std::string root = "/tmp/dcpi_bench_mem_sampling";
-  std::filesystem::remove_all(root);
+  const BenchDir dir;
+  const std::string& root = dir.path();
 
   // --- Gate 1: off means off ---
   SweepPoint zero_a = RunPoint(scale, 0.0, root + "/zero_a");
@@ -204,7 +204,6 @@ int main(int argc, char** argv) {
                 sharing_ok ? "true" : "false");
   std::ofstream("BENCH_mem_sampling.json") << json;
   std::printf("wrote BENCH_mem_sampling.json\n");
-  std::filesystem::remove_all(root);
 
   int failed = 0;
   if (!zero_cost_ok) {

@@ -95,14 +95,11 @@ void BM_HashTableRecordPolicy(benchmark::State& state) {
 }
 BENCHMARK(BM_HashTableRecordPolicy)->Arg(0)->Arg(1);
 
-// Daemon ingest head-to-head: one drained overflow buffer of 4096 records
-// through the batched staging path vs the legacy per-record path. The
-// batched path pays the profile-map lookup and merge-lock round trip once
-// per (image, event) group instead of once per record.
+// Daemon ingest: one drained overflow buffer of 4096 records through the
+// batched staging path, which pays the profile-map lookup and merge-lock
+// round trip once per (image, event) group instead of once per record.
 void BM_DaemonIngestBuffer(benchmark::State& state) {
-  DaemonConfig config;
-  config.batched_ingest = state.range(0) == 0;
-  Daemon daemon(nullptr, nullptr, {}, config);
+  Daemon daemon(nullptr, nullptr);
   std::string source;
   for (int i = 0; i < 1024; ++i) source += "nop\n";
   source += "halt\n";
@@ -123,11 +120,10 @@ void BM_DaemonIngestBuffer(benchmark::State& state) {
   for (auto _ : state) {
     daemon.ProcessBuffer(0, records);
   }
-  state.SetLabel(state.range(0) == 0 ? "batched" : "per_sample_legacy");
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(records.size()));
 }
-BENCHMARK(BM_DaemonIngestBuffer)->Arg(0)->Arg(1);
+BENCHMARK(BM_DaemonIngestBuffer);
 
 void BM_ProfileSerializeVarint(benchmark::State& state) {
   ImageProfile profile("bench", EventType::kCycles, 62000);

@@ -33,6 +33,8 @@ int main() {
 
   const ProfilingMode kModes[] = {ProfilingMode::kCycles, ProfilingMode::kDefault,
                                   ProfilingMode::kMux};
+  const BenchDir dir;
+  const std::string db_root = dir.path() + "/db";
 
   for (ProfilingMode mode : kModes) {
     std::printf("--- configuration: %s ---\n", ProfilingModeName(mode));
@@ -44,8 +46,6 @@ int main() {
     for (size_t w = 0; w < num_workloads; ++w) {
       WorkloadFactory factory(/*scale=*/0.2, /*seed=*/1);
       Workload workload = factory.Table2Suite()[w];
-      std::string db_root = "/tmp/dcpi_bench_t5_db";
-      std::filesystem::remove_all(db_root);
       RunSpec spec;
       spec.mode = mode;
       spec.period_scale = 1.0 / 4;  // denser sampling: short runs, real files

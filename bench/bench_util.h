@@ -3,9 +3,14 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <stdlib.h>
+
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/tools/toolkit.h"
 #include "src/workloads/workloads.h"
@@ -24,11 +29,10 @@ struct RunSpec {
   uint64_t kernel_seed = 1;
   uint32_t rng_seed = 1;
   std::string db_root;
-  // Collection-path configuration, so the before/after benches can pit the
-  // shipped Section 5.4 defaults against the 1997 baseline
-  // (HashTableConfig::Legacy() + batched_ingest = false).
+  // Driver configuration, so the before/after benches can pit the shipped
+  // Section 5.4 hash table against the 1997 baseline
+  // (HashTableConfig::Legacy()).
   DriverConfig driver;
-  DaemonConfig daemon;
   double mem_fraction = 0.0;  // fraction of samples taken as wide records
 };
 
@@ -49,7 +53,6 @@ inline RunOutput RunProfiled(const Workload& workload, const RunSpec& spec) {
   config.rng_seed = spec.rng_seed;
   config.db_root = spec.db_root;
   config.driver = spec.driver;
-  config.daemon = spec.daemon;
   config.mem_fraction = spec.mem_fraction;
   output.system = std::make_unique<System>(config);
   Status status = workload.Instantiate(output.system.get());
@@ -66,6 +69,37 @@ inline RunOutput RunProfiled(const Workload& workload, const RunSpec& spec) {
   }
   return output;
 }
+
+// A private output directory for one bench run: mkdtemp under $TMPDIR
+// (default /tmp), removed with everything in it when it goes out of scope.
+// The bench counterpart of tests/scratch_dir.h, so two builds running the
+// benches at once never delete each other's files.
+class BenchDir {
+ public:
+  BenchDir() {
+    const char* tmp = std::getenv("TMPDIR");
+    std::string pattern = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
+    pattern += "/dcpi_bench_XXXXXX";
+    std::vector<char> buf(pattern.begin(), pattern.end());
+    buf.push_back('\0');
+    if (mkdtemp(buf.data()) == nullptr) {
+      std::perror(("mkdtemp " + pattern).c_str());
+      std::exit(1);
+    }
+    path_ = buf.data();
+  }
+  ~BenchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  BenchDir(const BenchDir&) = delete;
+  BenchDir& operator=(const BenchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 inline void PrintHeader(const char* what, const char* paper_ref) {
   std::printf("==================================================================\n");

@@ -10,11 +10,8 @@ constexpr char kUnknownImage[] = "unknown";
 }  // namespace
 
 Daemon::Daemon(DcpiDriver* driver, ProfileDatabase* database,
-               std::vector<double> mean_periods, DaemonConfig config)
-    : driver_(driver),
-      database_(database),
-      config_(config),
-      mean_periods_(std::move(mean_periods)) {
+               std::vector<double> mean_periods)
+    : driver_(driver), database_(database), mean_periods_(std::move(mean_periods)) {
   mean_periods_.resize(kNumEventTypes, 0.0);
   if (driver_ != nullptr) {
     driver_->set_overflow_handler(
@@ -103,15 +100,6 @@ Daemon::ProfileSlot* Daemon::SlotFor(const std::string& image_name, EventType ev
   return it->second.get();
 }
 
-void Daemon::ProcessBuffer(uint32_t cpu_id, const std::vector<OverflowRecord>& records) {
-  daemon_cycles_.fetch_add(config_.cycles_per_buffer_flush, std::memory_order_relaxed);
-  if (config_.batched_ingest) {
-    IngestBatched(cpu_id, records);
-  } else {
-    IngestPerSample(cpu_id, records);
-  }
-}
-
 void Daemon::ProcessBuffer(uint32_t cpu_id, const std::vector<SampleRecord>& records) {
   std::vector<OverflowRecord> wrapped;
   wrapped.reserve(records.size());
@@ -121,58 +109,7 @@ void Daemon::ProcessBuffer(uint32_t cpu_id, const std::vector<SampleRecord>& rec
   ProcessBuffer(cpu_id, wrapped);
 }
 
-void Daemon::IngestPerSample(uint32_t cpu_id, const std::vector<OverflowRecord>& records) {
-  ReaderMutexLock maps_lock(&maps_mu_);
-  for (const OverflowRecord& overflow : records) {
-    records_processed_.fetch_add(1, std::memory_order_relaxed);
-    if (overflow.kind == OverflowRecord::Kind::kWide) {
-      const WideSampleRecord& wide = overflow.wide;
-      daemon_cycles_.fetch_add(config_.cycles_per_wide_record,
-                               std::memory_order_relaxed);
-      wide_records_.fetch_add(1, std::memory_order_relaxed);
-      samples_since_roll_.fetch_add(1, std::memory_order_relaxed);
-      const Mapping* mapping = ResolvePc(wide.pid, wide.pc);
-      ProfileSlot* slot;
-      uint64_t offset;
-      if (mapping == nullptr) {
-        samples_unknown_.fetch_add(1, std::memory_order_relaxed);
-        slot = SlotFor(kUnknownImage, wide.event);
-        offset = 0;
-      } else {
-        samples_attributed_.fetch_add(1, std::memory_order_relaxed);
-        slot = SlotFor(mapping->image->name(), wide.event);
-        offset = wide.pc - mapping->start;
-      }
-      MutexLock lock(&slot->mu);
-      // A wide record carries exactly one sample: the PC axis stays
-      // unbiased while the record also feeds the data-line axis.
-      slot->profile.AddSamples(offset, 1);
-      if (wide.has_data) {
-        slot->profile.mutable_mem()->AddAccess(wide.data_va, wide.level,
-                                               wide.latency, wide.tlb_miss, cpu_id);
-      }
-      continue;
-    }
-    const SampleRecord& record = overflow.narrow;
-    daemon_cycles_.fetch_add(config_.cycles_per_record, std::memory_order_relaxed);
-    if (record.count == 0) continue;  // carries no samples
-    samples_since_roll_.fetch_add(record.count, std::memory_order_relaxed);
-    const Mapping* mapping = ResolvePc(record.key.pid, record.key.pc);
-    if (mapping == nullptr) {
-      samples_unknown_.fetch_add(record.count, std::memory_order_relaxed);
-      ProfileSlot* slot = SlotFor(kUnknownImage, record.key.event);
-      MutexLock lock(&slot->mu);
-      slot->profile.AddSamples(0, record.count);
-      continue;
-    }
-    samples_attributed_.fetch_add(record.count, std::memory_order_relaxed);
-    ProfileSlot* slot = SlotFor(mapping->image->name(), record.key.event);
-    MutexLock lock(&slot->mu);
-    slot->profile.AddSamples(record.key.pc - mapping->start, record.count);
-  }
-}
-
-void Daemon::IngestBatched(uint32_t cpu_id, const std::vector<OverflowRecord>& records) {
+void Daemon::ProcessBuffer(uint32_t cpu_id, const std::vector<OverflowRecord>& records) {
   // Pass 1 (load-map lookups only): resolve every record to its slot and
   // image-relative offset, grouping consecutive work per (image, event).
   // The group list is tiny (one entry per distinct image x event in the
@@ -272,9 +209,9 @@ void Daemon::IngestBatched(uint32_t cpu_id, const std::vector<OverflowRecord>& r
     }
   }
   records_processed_.fetch_add(records.size(), std::memory_order_relaxed);
-  daemon_cycles_.fetch_add(narrow_count * config_.cycles_per_record_batched +
-                               wide_count * config_.cycles_per_wide_record +
-                               groups.size() * config_.cycles_per_group,
+  daemon_cycles_.fetch_add(kCyclesPerBuffer + narrow_count * kCyclesPerRecord +
+                               wide_count * kCyclesPerWideRecord +
+                               groups.size() * kCyclesPerGroup,
                            std::memory_order_relaxed);
   ingest_groups_.fetch_add(groups.size(), std::memory_order_relaxed);
   wide_records_.fetch_add(wide_count, std::memory_order_relaxed);

@@ -22,15 +22,15 @@
 // shutdown: once producers have quiesced, the drain thread performs one
 // final empty sweep and exits.
 //
-// Batched ingest (Section 5.4's "reduce per-sample daemon work", default):
+// Batched ingest (Section 5.4's "reduce per-sample daemon work"):
 // ProcessBuffer groups a whole drained buffer by (image, event) and
 // accumulates each group into the slot's dense staging vector, paying the
 // profile-map lookup and merge-lock acquisition once per group per buffer
 // instead of once per record. Staged counts are merged into the profile
 // map at every flush and read point — in particular before any database
-// write and at every epoch-roll quiesce point — so profile output is
-// byte-identical to the legacy per-sample path and no staged sample can
-// leak across a sealed epoch boundary.
+// write and at every epoch-roll quiesce point — so no reader ever sees
+// withheld samples and no staged sample can leak across a sealed epoch
+// boundary.
 //
 // Continuous operation (the paper's headline property): the daemon runs
 // indefinitely and the database grows as a sequence of sealed epochs. An
@@ -47,8 +47,9 @@
 // Rolls only ever execute at quiesce points (no producers, no drain
 // thread mid-buffer), so no sample can land astride the seal.
 //
-// Daemon CPU cost is modelled per processed record (the paper's "three
-// hash lookups" path) and reported per-sample for the Table 4 accounting.
+// Daemon CPU cost is modelled per buffer, per record and per (image,
+// event) group (the Daemon::kCycles* constants) and reported per-sample
+// for the Table 4 accounting.
 
 #ifndef SRC_DAEMON_DAEMON_H_
 #define SRC_DAEMON_DAEMON_H_
@@ -69,33 +70,6 @@
 #include "src/support/mutex.h"
 
 namespace dcpi {
-
-struct DaemonConfig {
-  // Batched ingest (default): a drained overflow buffer is grouped by
-  // (image, event) and accumulated into dense per-slot staging vectors, so
-  // the profile-map lookup and the merge-lock acquisition are paid once
-  // per group per buffer instead of once per record. False selects the
-  // legacy per-sample path (one map lookup + lock round-trip per record),
-  // kept for the differential tests and the Table 4 before/after numbers.
-  bool batched_ingest = true;
-
-  // Cost model, in cycles.
-  // Legacy path, per overflow-buffer record processed: PID lookup, image
-  // lookup, profile hash update — the paper's "three hash lookups".
-  uint64_t cycles_per_record = 950;
-  // Batched path, per record staged: PID + image lookup and a dense-array
-  // add; the profile hash update is amortized into the per-group cost.
-  uint64_t cycles_per_record_batched = 320;
-  // Batched path, per (image, event) group per buffer: profile-map lookup,
-  // merge-lock round trip, staging bookkeeping.
-  uint64_t cycles_per_group = 1100;
-  // Per wide (memory) record: PID + image lookup plus the data-line map
-  // update — heavier than a narrow staged add, and each wide record
-  // carries exactly one sample.
-  uint64_t cycles_per_wide_record = 500;
-  // Extra cycles per buffer flush (syscall + copy).
-  uint64_t cycles_per_buffer_flush = 6000;
-};
 
 // When and how the epoch lifecycle advances. The defaults reproduce the
 // historical batch behaviour: one epoch, flushed once at shutdown.
@@ -119,7 +93,7 @@ struct DaemonStats {
   uint64_t db_write_failures = 0;   // profiles whose retry also failed
   uint64_t epoch_rolls = 0;         // epochs sealed + advanced past
   uint64_t timed_flushes = 0;       // periodic flushes performed
-  uint64_t ingest_groups = 0;       // (image, event) groups formed (batched)
+  uint64_t ingest_groups = 0;       // (image, event) groups formed
   uint64_t staging_drains = 0;      // staging-vector merges into profiles
   uint64_t db_bytes_written = 0;    // serialized bytes flushed to the db
   uint64_t wide_records = 0;        // ProfileMe-style memory records ingested
@@ -130,10 +104,22 @@ class Daemon {
   // The daemon installs itself as the driver's overflow handler. `periods`
   // supplies the mean sampling period per event (for profile metadata).
   Daemon(DcpiDriver* driver, ProfileDatabase* database,
-         std::vector<double> mean_periods = {}, DaemonConfig config = {});
+         std::vector<double> mean_periods = {});
   ~Daemon();
 
-  const DaemonConfig& config() const { return config_; }
+  // Modelled daemon CPU cost, in cycles.
+  // Per narrow record: PID + image lookup and a dense-array add; the
+  // profile hash update is amortized into the per-group cost.
+  static constexpr uint64_t kCyclesPerRecord = 320;
+  // Per (image, event) group per buffer: profile-map lookup, merge-lock
+  // round trip, staging bookkeeping.
+  static constexpr uint64_t kCyclesPerGroup = 1100;
+  // Per wide (memory) record: PID + image lookup plus the data-line map
+  // update — heavier than a narrow staged add, and each wide record
+  // carries exactly one sample.
+  static constexpr uint64_t kCyclesPerWideRecord = 500;
+  // Per buffer flush (syscall + copy).
+  static constexpr uint64_t kCyclesPerBuffer = 6000;
 
   // Installs the continuous-operation policy. Call before collection
   // starts (not thread-safe against a running drain thread).
@@ -145,7 +131,8 @@ class Daemon {
 
   // Handles one drained buffer (also used directly by tests). Thread-safe.
   // Narrow records are hash-table aggregates; wide records are individual
-  // ProfileMe-style memory samples that also feed the data-line axis.
+  // ProfileMe-style memory samples that also feed the data-line axis, where
+  // `cpu_id` sets the line's cpu_mask (the false-sharing signal).
   void ProcessBuffer(uint32_t cpu_id, const std::vector<OverflowRecord>& records);
   // Convenience for narrow-only callers (tests, benches).
   void ProcessBuffer(uint32_t cpu_id, const std::vector<SampleRecord>& records);
@@ -233,11 +220,11 @@ class Daemon {
 
   // One (image, event) aggregation slot; `mu` serializes merges into this
   // profile so distinct profiles never contend (the per-(image,event)
-  // merge lock). The batched ingest path accumulates a buffer's samples
-  // into `staged` — a dense vector indexed by offset/4 (instruction
-  // granularity, the inverse of ImageProfile::ExtractDense) — and the
-  // staged counts are merged into `profile` at every flush or read point,
-  // so nothing outside this class ever observes staging lag.
+  // merge lock). Ingest accumulates a buffer's samples into `staged` — a
+  // dense vector indexed by offset/4 (instruction granularity, the inverse
+  // of ImageProfile::ExtractDense) — and the staged counts are merged into
+  // `profile` at every flush or read point, so nothing outside this class
+  // ever observes staging lag.
   //
   // Slot locks are the innermost daemon locks, and a thread never holds
   // two at once, so every slot shares one rank.
@@ -255,11 +242,6 @@ class Daemon {
   // Merges `staged` into `profile` and zeroes it. Caller holds slot->mu.
   // Const so the read accessors can drain before exposing a profile.
   void DrainStagingLocked(ProfileSlot* slot) const REQUIRES(slot->mu);
-  // The two ingest paths (see DaemonConfig::batched_ingest). Both hold the
-  // load-map shared lock across the buffer. cpu_id feeds the data-line
-  // cpu_mask (the false-sharing signal).
-  void IngestBatched(uint32_t cpu_id, const std::vector<OverflowRecord>& records);
-  void IngestPerSample(uint32_t cpu_id, const std::vector<OverflowRecord>& records);
   // Writes every non-empty profile with ReplaceProfile (+1 retry each).
   Status FlushProfilesLocked() REQUIRES(flush_mu_);
   // Erases dead load-map entries (and emptied processes).
@@ -267,7 +249,6 @@ class Daemon {
 
   DcpiDriver* driver_;
   ProfileDatabase* database_;
-  DaemonConfig config_;
   EpochPolicy policy_;
   std::vector<double> mean_periods_;  // indexed by EventType
 

@@ -4,12 +4,13 @@
 #include <sys/types.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 
 #include "src/support/binary_io.h"
 #include "src/support/crc32.h"
+#include "src/support/parse.h"
 
 namespace dcpi {
 
@@ -25,18 +26,6 @@ constexpr char kSealMarker[] = ".sealed";
 bool EndsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-// Parses "epoch_<N>" (strictly numeric); returns false for anything else.
-bool ParseEpochDirName(const std::string& dir_name, uint32_t* epoch) {
-  if (dir_name.rfind("epoch_", 0) != 0 || dir_name.size() == 6) return false;
-  uint32_t value = 0;
-  for (size_t i = 6; i < dir_name.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(dir_name[i]))) return false;
-    value = value * 10 + static_cast<uint32_t>(dir_name[i] - '0');
-  }
-  *epoch = value;
-  return true;
 }
 
 // Header + varint-encoded count records, shared by versions 3 and 4.
@@ -293,7 +282,9 @@ ScanReport ProfileDatabase::ScanAndRecover() const {
   for (const auto& epoch_entry : root_it) {
     if (!epoch_entry.is_directory()) continue;
     uint32_t epoch = 0;
-    if (!ParseEpochDirName(epoch_entry.path().filename().string(), &epoch)) continue;
+    if (!ParseNumberedName(epoch_entry.path().filename().string(), "epoch_", &epoch)) {
+      continue;
+    }
     epochs.emplace_back(epoch, epoch_entry.path());
   }
   std::sort(epochs.begin(), epochs.end());
@@ -513,7 +504,7 @@ std::vector<uint32_t> ProfileDatabase::ListEpochs() const {
   for (const auto& entry : it) {
     if (!entry.is_directory()) continue;
     uint32_t epoch = 0;
-    if (ParseEpochDirName(entry.path().filename().string(), &epoch)) {
+    if (ParseNumberedName(entry.path().filename().string(), "epoch_", &epoch)) {
       epochs.push_back(epoch);
     }
   }
@@ -536,6 +527,27 @@ Result<ImageProfile> ProfileDatabase::ReadProfile(uint32_t epoch,
   DCPI_RETURN_IF_ERROR(
       ReadFile(EpochDir(epoch) + "/" + ProfileFileName(image_name, event), &bytes));
   return DeserializeProfile(bytes);
+}
+
+Result<ImageProfile> ProfileDatabase::ReadMerged(std::vector<uint32_t> epochs,
+                                                 const std::string& image_name,
+                                                 EventType event) const {
+  std::sort(epochs.begin(), epochs.end());
+  std::optional<ImageProfile> merged;
+  for (uint32_t epoch : epochs) {
+    Result<ImageProfile> profile = ReadProfile(epoch, image_name, event);
+    if (!profile.ok()) continue;  // missing or unreadable: skipped
+    if (merged.has_value()) {
+      merged->Merge(profile.value());
+    } else {
+      merged = std::move(profile).value();
+    }
+  }
+  if (!merged.has_value()) {
+    return NotFound("no " + std::string(EventTypeName(event)) + " profile for " +
+                    image_name);
+  }
+  return std::move(*merged);
 }
 
 Result<std::vector<std::string>> ProfileDatabase::ListProfiles(uint32_t epoch) const {

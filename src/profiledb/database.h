@@ -118,6 +118,15 @@ class ProfileDatabase {
   Result<ImageProfile> ReadProfile(uint32_t epoch, const std::string& image_name,
                                    EventType event) const;
 
+  // The one epoch fold every reader uses: the (image, event) profile of
+  // each of `epochs`, merged in ascending epoch order. An epoch whose read
+  // fails (no file, bad checksum, truncation) is skipped, as the recovery
+  // scan and fleet compaction skip an unreadable file. NotFound if no
+  // epoch has a readable profile.
+  Result<ImageProfile> ReadMerged(std::vector<uint32_t> epochs,
+                                  const std::string& image_name,
+                                  EventType event) const;
+
   // All (image, event) profile files in an epoch (quarantined and in-flight
   // files excluded).
   Result<std::vector<std::string>> ListProfiles(uint32_t epoch) const;

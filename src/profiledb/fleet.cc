@@ -1,30 +1,18 @@
 #include "src/profiledb/fleet.h"
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "src/support/binary_io.h"
+#include "src/support/parse.h"
 #include "src/support/thread_pool.h"
 
 namespace dcpi {
 
 namespace {
-
-// Parses "host_<N>" (strictly numeric); returns false for anything else.
-bool ParseHostDirName(const std::string& dir_name, uint32_t* id) {
-  if (dir_name.rfind("host_", 0) != 0 || dir_name.size() == 5) return false;
-  uint32_t value = 0;
-  for (size_t i = 5; i < dir_name.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(dir_name[i]))) return false;
-    value = value * 10 + static_cast<uint32_t>(dir_name[i] - '0');
-  }
-  *id = value;
-  return true;
-}
 
 // host_<id> directory names under `root`, sorted by numeric id (so host_2
 // precedes host_10 — lexicographic order would interleave the fleet).
@@ -37,7 +25,7 @@ std::vector<std::string> ListHostDirs(const std::string& root) {
     if (!entry.is_directory()) continue;
     std::string name = entry.path().filename().string();
     uint32_t id = 0;
-    if (ParseHostDirName(name, &id)) hosts.emplace_back(id, std::move(name));
+    if (ParseNumberedName(name, "host_", &id)) hosts.emplace_back(id, std::move(name));
   }
   std::sort(hosts.begin(), hosts.end());
   std::vector<std::string> names;
@@ -55,6 +43,15 @@ FleetView::FleetView(std::string fleet_root) : root_(std::move(fleet_root)) {
     hosts_.push_back(std::make_unique<ProfileDatabase>(root_ + "/" + name,
                                                        DbOpenMode::kReadOnly));
   }
+}
+
+FleetView FleetView::SingleShard(std::string db_root) {
+  FleetView view;
+  view.root_ = std::move(db_root);
+  view.host_names_ = {view.root_};
+  view.hosts_.push_back(
+      std::make_unique<ProfileDatabase>(view.root_, DbOpenMode::kReadOnly));
+  return view;
 }
 
 std::vector<uint32_t> FleetView::ListEpochs() const {
@@ -138,31 +135,15 @@ ImageProfile MergeHostProfiles(const std::vector<const ImageProfile*>& parts) {
 Result<ImageProfile> FleetView::ReadProfile(const std::vector<uint32_t>& epochs,
                                             const std::string& image_name,
                                             EventType event) const {
-  // Per-host fold across epochs first (ascending, like a single database
-  // read), then one cross-host merge.
-  std::vector<uint32_t> sorted_epochs = epochs;
-  std::sort(sorted_epochs.begin(), sorted_epochs.end());
+  // Each host folds its own epochs first, then one cross-host merge.
   std::vector<ImageProfile> host_profiles;
   for (const auto& host : hosts_) {
-    ImageProfile folded;
-    bool have = false;
-    for (uint32_t epoch : sorted_epochs) {
-      Result<ImageProfile> one = host->ReadProfile(epoch, image_name, event);
-      if (!one.ok()) {
-        if (one.status().code() == StatusCode::kNotFound) continue;
-        return one.status();
-      }
-      if (!have) {
-        folded = std::move(one).value();
-        have = true;
-      } else {
-        folded.Merge(one.value());
-      }
-    }
-    if (have) host_profiles.push_back(std::move(folded));
+    Result<ImageProfile> folded = host->ReadMerged(epochs, image_name, event);
+    if (folded.ok()) host_profiles.push_back(std::move(folded).value());
   }
   if (host_profiles.empty()) {
-    return NotFound("no shard has profile for image '" + image_name + "'");
+    return NotFound("no " + std::string(EventTypeName(event)) + " profile for " +
+                    image_name);
   }
   std::vector<const ImageProfile*> parts;
   parts.reserve(host_profiles.size());

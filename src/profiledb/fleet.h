@@ -5,8 +5,10 @@
 // Each shard is an ordinary ProfileDatabase written by that host's daemon
 // (dcpi_sim --fleet runs N such instances); a FleetView opens every shard
 // read-only and serves fleet-wide reads by merge-on-read: per-host profiles
-// are folded across epochs (ascending, the single-database rule), then
-// across hosts into one fleet profile with a sample-weighted mean period.
+// are folded across epochs (ProfileDatabase::ReadMerged, the one epoch
+// fold), then across hosts into one fleet profile with a sample-weighted
+// mean period. A plain database opens as a one-shard view, so the reader
+// tools have one read path for a host and for a fleet.
 //
 // Determinism: hosts are always iterated in ascending numeric id order, and
 // the cross-host period fold sorts its (period, weight) contributions by
@@ -41,6 +43,10 @@ class FleetView {
   // numeric id order. A fleet with zero shards is reported via num_hosts()
   // == 0, not an exception, so tools can print a usage-grade error.
   explicit FleetView(std::string fleet_root);
+  // Opens the plain database at `db_root` read-only as a one-shard view
+  // (its one host name is `db_root`). Reads through it are bit-exact reads
+  // of the database.
+  static FleetView SingleShard(std::string db_root);
 
   const std::string& root() const { return root_; }
   size_t num_hosts() const { return hosts_.size(); }
@@ -55,15 +61,17 @@ class FleetView {
   std::vector<uint32_t> ListSealedEpochs() const;
 
   // Merge-on-read: folds the (image, event) profile across `epochs` per
-  // host (ascending epoch order), then across hosts. A single contributing
-  // host's profile is returned bit-exact, so a 1-host fleet reads
-  // identically to its shard. NotFound if no shard has the profile in any
-  // requested epoch.
+  // host (ProfileDatabase::ReadMerged: ascending, unreadable files
+  // skipped), then across hosts. A single contributing host's profile is
+  // returned bit-exact, so a 1-host fleet reads identically to its shard.
+  // NotFound if no shard has a readable profile in any requested epoch.
   Result<ImageProfile> ReadProfile(const std::vector<uint32_t>& epochs,
                                    const std::string& image_name,
                                    EventType event) const;
 
  private:
+  FleetView() = default;
+
   std::string root_;
   std::vector<std::string> host_names_;           // ascending numeric id
   std::vector<std::unique_ptr<ProfileDatabase>> hosts_;  // same order

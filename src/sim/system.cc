@@ -78,8 +78,7 @@ System::System(const SystemConfig& config) : config_(config) {
       mean_periods[e] = counters_[0]->MeanPeriod(static_cast<EventType>(e));
     }
   }
-  daemon_ = std::make_unique<Daemon>(driver_.get(), database_.get(), mean_periods,
-                                     config.daemon);
+  daemon_ = std::make_unique<Daemon>(driver_.get(), database_.get(), mean_periods);
   EpochPolicy policy;
   policy.flush_interval_cycles = config.daemon_flush_interval;
   policy.roll_on_map_change = config.roll_on_map_change;

@@ -56,9 +56,6 @@ struct SystemConfig {
   // steal ~12% and systematically inflate every S_i/M_i ratio.
   bool free_profiling = false;
   DriverConfig driver;
-  // Daemon ingest path + cost model (DaemonConfig::batched_ingest selects
-  // the batched staging path vs the legacy per-sample path).
-  DaemonConfig daemon;
   std::string db_root;  // empty: keep profiles in memory only
   uint32_t rng_seed = 1;
   // Drain the driver every this many simulated cycles (the paper's daemon

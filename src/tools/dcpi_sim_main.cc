@@ -49,6 +49,7 @@
 
 #include "src/isa/image_io.h"
 #include "src/profiledb/fleet.h"
+#include "src/support/parse.h"
 #include "src/tools/toolkit.h"
 #include "src/workloads/workloads.h"
 

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   source << source_file.rdbuf();
 
   Result<ImageProfile> cycles =
-      ReadMergedProfile(ctx, image->name(), EventType::kCycles);
+      ctx.view.ReadProfile(ctx.epochs, image->name(), EventType::kCycles);
   if (!cycles.ok()) {
     std::fprintf(stderr, "no cycles profile: %s\n",
                  cycles.status().ToString().c_str());

@@ -84,14 +84,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   Result<ImageProfile> cycles =
-      ReadMergedProfile(ctx, image->name(), EventType::kCycles);
+      ctx.view.ReadProfile(ctx.epochs, image->name(), EventType::kCycles);
   if (!cycles.ok()) {
     std::fprintf(stderr, "no cycles profile: %s\n", cycles.status().ToString().c_str());
     return 1;
   }
   std::optional<ImageProfile> imiss;
   Result<ImageProfile> imiss_result =
-      ReadMergedProfile(ctx, image->name(), EventType::kImiss);
+      ctx.view.ReadProfile(ctx.epochs, image->name(), EventType::kImiss);
   if (imiss_result.ok()) imiss = std::move(imiss_result).value();
 
   AnalysisConfig config;
@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
     // A merged profile set gets its own cache namespace at the database
     // root (fleet merges always do — their profiles span hosts); the
     // content-addressed keys keep it disjoint per epoch set.
-    engine_options.cache_dir = ctx.db != nullptr && ctx.epochs.size() == 1
-                                   ? ctx.db->EpochCacheDir(ctx.epochs[0])
+    engine_options.cache_dir = !options.fleet && ctx.epochs.size() == 1
+                                   ? ctx.view.host(0).EpochCacheDir(ctx.epochs[0])
                                    : db_root + "/.cache";
   }
   engine_options.analyze =

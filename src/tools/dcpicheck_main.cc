@@ -67,34 +67,27 @@ int main(int argc, char** argv) {
   options.use_cache = tool_options.use_cache;
   for (int i = arg + 1; i < argc; ++i) options.image_files.push_back(argv[i]);
 
+  // Check every shard independently: a fleet is healthy only when each
+  // host's database passes on its own. A plain database is the one shard.
   const ToolContext& ctx = context.value();
-  if (ctx.fleet != nullptr) {
-    // Check every shard independently: a fleet is healthy only when each
-    // host's database passes on its own.
-    bool all_ok = true;
-    for (size_t h = 0; h < ctx.fleet->num_hosts(); ++h) {
-      const ProfileDatabase& host = ctx.fleet->host(h);
-      DcpicheckOptions host_options = options;
-      host_options.db_root = host.root();
+  bool all_ok = true;
+  for (size_t h = 0; h < ctx.view.num_hosts(); ++h) {
+    const ProfileDatabase& host = ctx.view.host(h);
+    DcpicheckOptions host_options = options;
+    host_options.db_root = host.root();
+    host_options.epochs = ctx.epochs;
+    if (tool_options.fleet) {
       // Only the epochs this shard actually has: the fleet-wide epoch
       // union may be sparse per host.
       std::vector<uint32_t> have = host.ListEpochs();
-      for (uint32_t epoch : ctx.epochs) {
-        if (std::find(have.begin(), have.end(), epoch) != have.end()) {
-          host_options.epochs.push_back(epoch);
-        }
-      }
-      std::fprintf(stdout, "=== %s ===\n", ctx.fleet->host_names()[h].c_str());
-      CheckReport report = RunDcpicheck(host_options);
-      std::fputs(report.ToString().c_str(), stdout);
-      all_ok = all_ok && report.ok();
+      std::erase_if(host_options.epochs, [&](uint32_t epoch) {
+        return std::find(have.begin(), have.end(), epoch) == have.end();
+      });
+      std::fprintf(stdout, "=== %s ===\n", ctx.view.host_names()[h].c_str());
     }
-    return all_ok ? 0 : 1;
+    CheckReport report = RunDcpicheck(host_options);
+    std::fputs(report.ToString().c_str(), stdout);
+    all_ok = all_ok && report.ok();
   }
-
-  options.db_root = db_root;
-  options.epochs = ctx.epochs;
-  CheckReport report = RunDcpicheck(options);
-  std::fputs(report.ToString().c_str(), stdout);
-  return report.ok() ? 0 : 1;
+  return all_ok ? 0 : 1;
 }

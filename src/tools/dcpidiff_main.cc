@@ -5,20 +5,21 @@
 //   dcpidiff [--fleet] [--jobs N] [--no-cache] <db_root> <epoch_before>
 //            <epoch_after> <image_file>...
 //
-// With --fleet, <db_root> is a fleet root of host_<id> shards and each
-// epoch's profiles are the fleet-wide merge-on-read aggregates, so the
-// diff compares fleet behaviour before and after. The shared epoch flags
-// (--epoch/--all-epochs) are rejected: dcpidiff's two epochs are
-// positional and explicit.
+// The database opens read-only through the shared toolkit, as in every
+// other reader tool, so dcpidiff may run against a database a daemon is
+// still writing. With --fleet, <db_root> is a fleet root of host_<id>
+// shards and each epoch's profiles are the fleet-wide merge-on-read
+// aggregates, so the diff compares fleet behaviour before and after. The
+// shared epoch flags (--epoch/--all-epochs) are rejected: dcpidiff's two
+// epochs are positional and explicit.
 
 #include <cstdio>
 #include <deque>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/isa/image_io.h"
-#include "src/profiledb/database.h"
-#include "src/profiledb/fleet.h"
+#include "src/support/parse.h"
 #include "src/tools/dcpidiff.h"
 #include "src/tools/toolkit.h"
 
@@ -59,24 +60,15 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
-  // Read-only, like every other reader tool: dcpidiff may run against a
-  // database a daemon is still writing. Exactly one of db/fleet is set.
-  std::unique_ptr<ProfileDatabase> db;
-  std::unique_ptr<FleetView> fleet;
-  if (options.fleet) {
-    fleet = std::make_unique<FleetView>(argv[arg]);
-    if (fleet->num_hosts() == 0) {
-      std::fprintf(stderr, "%s holds no host_<id> shards\n", argv[arg]);
-      return 1;
-    }
-  } else {
-    db = std::make_unique<ProfileDatabase>(argv[arg], DbOpenMode::kReadOnly);
+  // Explicit epochs pass through OpenToolDatabase even when they do not
+  // exist; their missing profiles are skipped below.
+  options.epochs = {epoch_before, epoch_after};
+  Result<ToolContext> context = OpenToolDatabase(argv[arg], options);
+  if (!context.ok()) {
+    std::fprintf(stderr, "%s\n", context.status().ToString().c_str());
+    return 1;
   }
-  auto read_profile = [&](uint32_t epoch, const std::string& image_name) {
-    return db != nullptr ? db->ReadProfile(epoch, image_name, EventType::kCycles)
-                         : fleet->ReadProfile({epoch}, image_name,
-                                              EventType::kCycles);
-  };
+  const FleetView& view = context.value().view;
 
   std::deque<ImageProfile> storage;
   std::vector<ProfInput> before_inputs, after_inputs;
@@ -87,12 +79,13 @@ int main(int argc, char** argv) {
                    image.status().ToString().c_str());
       return 1;
     }
-    Result<ImageProfile> before = read_profile(epoch_before, image.value()->name());
+    const std::string& name = image.value()->name();
+    Result<ImageProfile> before = view.ReadProfile({epoch_before}, name, EventType::kCycles);
     if (before.ok()) {
       storage.push_back(std::move(before.value()));
       before_inputs.push_back({image.value(), &storage.back(), nullptr});
     }
-    Result<ImageProfile> after = read_profile(epoch_after, image.value()->name());
+    Result<ImageProfile> after = view.ReadProfile({epoch_after}, name, EventType::kCycles);
     if (after.ok()) {
       storage.push_back(std::move(after.value()));
       after_inputs.push_back({image.value(), &storage.back(), nullptr});

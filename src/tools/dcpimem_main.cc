@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/support/parse.h"
 #include "src/tools/dcpimem.h"
 #include "src/tools/toolkit.h"
 
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
   for (const std::shared_ptr<ExecutableImage>& image : images.value()) {
     for (int e = 0; e < kNumEventTypes; ++e) {
       Result<ImageProfile> profile =
-          ReadMergedProfile(ctx, image->name(), static_cast<EventType>(e));
+          ctx.view.ReadProfile(ctx.epochs, image->name(), static_cast<EventType>(e));
       if (!profile.ok() || profile.value().mem().empty()) continue;
       storage.push_back(std::move(profile.value()));
       inputs.push_back({image, &storage.back()});

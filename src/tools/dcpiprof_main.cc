@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   // stable addresses), so output is byte-identical for any jobs count and
   // any shard enumeration order.
   const ToolContext& ctx = context.value();
-  const size_t num_hosts = ctx.fleet != nullptr ? ctx.fleet->num_hosts() : 1;
+  const size_t num_hosts = ctx.view.num_hosts();
   const size_t num_images = images.value().size();
   struct Slot {
     std::optional<ImageProfile> cycles, secondary;
@@ -89,16 +89,14 @@ int main(int argc, char** argv) {
   std::vector<Slot> slots(num_hosts * num_images);
   ThreadPool pool(options.jobs);
   pool.ParallelFor(slots.size(), [&](size_t cell, int) {
-    const ProfileDatabase& db = ctx.fleet != nullptr
-                                    ? ctx.fleet->host(cell / num_images)
-                                    : *ctx.db;
+    const ProfileDatabase& host = ctx.view.host(cell / num_images);
     const auto& image = images.value()[cell % num_images];
     Result<ImageProfile> cycles =
-        ReadMergedProfile(db, ctx.epochs, image->name(), EventType::kCycles);
+        host.ReadMerged(ctx.epochs, image->name(), EventType::kCycles);
     if (!cycles.ok()) return;  // image not profiled in these epochs
     slots[cell].cycles = std::move(cycles).value();
     Result<ImageProfile> imiss =
-        ReadMergedProfile(db, ctx.epochs, image->name(), EventType::kImiss);
+        host.ReadMerged(ctx.epochs, image->name(), EventType::kImiss);
     if (imiss.ok()) slots[cell].secondary = std::move(imiss).value();
   });
 
@@ -131,9 +129,9 @@ int main(int argc, char** argv) {
       all.insert(all.end(), host.begin(), host.end());
     }
     std::fputs(FormatImageListing(ListImages(all)).c_str(), stdout);
-  } else if (ctx.fleet != nullptr) {
+  } else if (options.fleet) {
     std::fputs(FormatFleetProcedureListing(ListFleetProcedures(per_host),
-                                           ctx.fleet->host_names(), "imiss")
+                                           ctx.view.host_names(), "imiss")
                    .c_str(),
                stdout);
   } else {

@@ -68,16 +68,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   const ToolContext& ctx = context.value();
-  if (ctx.db != nullptr) {
-    const ScanReport& scan = ctx.db->scan_report();
+  if (!options.fleet) {
+    const ScanReport& scan = ctx.view.host(0).scan_report();
     if (scan.files_checked > 0 || scan.files_quarantined > 0) {
       std::fprintf(stderr, "%s\n%s", scan.ToString().c_str(),
                    scan.DetailString().c_str());
     }
   }
   // One sample set per epoch normally; one per host with --fleet.
-  const bool fleet = ctx.fleet != nullptr;
-  const size_t num_sets = fleet ? ctx.fleet->num_hosts() : ctx.epochs.size();
+  const bool fleet = options.fleet;
+  const size_t num_sets = fleet ? ctx.view.num_hosts() : ctx.epochs.size();
   if (num_sets < 2) {
     std::fprintf(stderr,
                  "dcpistats needs at least two %s to compare (resolved "
@@ -100,11 +100,11 @@ int main(int argc, char** argv) {
   ThreadPool pool(options.jobs);
   pool.ParallelFor(grid.size(), [&](size_t cell, int) {
     const auto& image = images.value()[cell % num_images];
+    const size_t set = cell / num_images;
+    const ProfileDatabase& host = ctx.view.host(fleet ? set : 0);
     Result<ImageProfile> cycles =
-        fleet ? ReadMergedProfile(ctx.fleet->host(cell / num_images), ctx.epochs,
-                                  image->name(), EventType::kCycles)
-              : ctx.db->ReadProfile(ctx.epochs[cell / num_images], image->name(),
-                                    EventType::kCycles);
+        host.ReadMerged(fleet ? ctx.epochs : std::vector<uint32_t>{ctx.epochs[set]},
+                        image->name(), EventType::kCycles);
     if (cycles.ok()) grid[cell] = std::move(cycles).value();
   });
 
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
   }
   if (fleet) {
     std::fprintf(stdout, "fleet of %zu host(s), sample sets by host:", num_sets);
-    for (const std::string& name : ctx.fleet->host_names()) {
+    for (const std::string& name : ctx.view.host_names()) {
       std::fprintf(stdout, " %s", name.c_str());
     }
     std::fprintf(stdout, "\n\n");

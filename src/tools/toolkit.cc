@@ -1,26 +1,14 @@
 #include "src/tools/toolkit.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstring>
 
 #include "src/check/selfcheck.h"
 #include "src/isa/image_io.h"
+#include "src/support/parse.h"
 #include "src/support/thread_pool.h"
 
 namespace dcpi {
-
-bool ParseUint32(const char* s, uint32_t* out) {
-  if (*s == '\0') return false;
-  uint64_t value = 0;
-  for (const char* p = s; *p != '\0'; ++p) {
-    if (!std::isdigit(static_cast<unsigned char>(*p))) return false;
-    value = value * 10 + static_cast<uint64_t>(*p - '0');
-    if (value > UINT32_MAX) return false;
-  }
-  *out = static_cast<uint32_t>(value);
-  return true;
-}
 
 int ParseToolFlag(int argc, char** argv, int* arg, ToolOptions* options) {
   const char* flag = argv[*arg];
@@ -55,14 +43,10 @@ int ParseToolFlag(int argc, char** argv, int* arg, ToolOptions* options) {
 
 Result<ToolContext> OpenToolDatabase(const std::string& db_root,
                                      const ToolOptions& options) {
-  ToolContext context;
-  if (options.fleet) {
-    context.fleet = std::make_unique<FleetView>(db_root);
-    if (context.fleet->num_hosts() == 0) {
-      return NotFound("no host_<id> shards under fleet root " + db_root);
-    }
-  } else {
-    context.db = std::make_unique<ProfileDatabase>(db_root, DbOpenMode::kReadOnly);
+  ToolContext context{
+      options.fleet ? FleetView(db_root) : FleetView::SingleShard(db_root), {}};
+  if (context.view.num_hosts() == 0) {
+    return NotFound("no host_<id> shards under fleet root " + db_root);
   }
   if (!options.epochs.empty()) {
     context.epochs = options.epochs;
@@ -72,13 +56,8 @@ Result<ToolContext> OpenToolDatabase(const std::string& db_root,
         context.epochs.end());
     return context;
   }
-  std::vector<uint32_t> pool = context.fleet != nullptr
-                                   ? context.fleet->ListSealedEpochs()
-                                   : context.db->ListSealedEpochs();
-  if (pool.empty()) {
-    pool = context.fleet != nullptr ? context.fleet->ListEpochs()
-                                    : context.db->ListEpochs();
-  }
+  std::vector<uint32_t> pool = context.view.ListSealedEpochs();
+  if (pool.empty()) pool = context.view.ListEpochs();
   if (pool.empty()) {
     return NotFound("no epochs in profile database " + db_root);
   }
@@ -108,33 +87,6 @@ Result<std::vector<std::shared_ptr<ExecutableImage>>> LoadImageSet(
     images.push_back(loads[i].value());
   }
   return images;
-}
-
-Result<ImageProfile> ReadMergedProfile(const ProfileDatabase& db,
-                                       const std::vector<uint32_t>& epochs,
-                                       const std::string& image_name,
-                                       EventType event) {
-  Result<ImageProfile> merged = NotFound(
-      "no " + std::string(EventTypeName(event)) + " profile for " + image_name);
-  for (uint32_t epoch : epochs) {
-    Result<ImageProfile> profile = db.ReadProfile(epoch, image_name, event);
-    if (!profile.ok()) continue;
-    if (merged.ok()) {
-      merged.value().Merge(profile.value());
-    } else {
-      merged = std::move(profile).value();
-    }
-  }
-  return merged;
-}
-
-Result<ImageProfile> ReadMergedProfile(const ToolContext& context,
-                                       const std::string& image_name,
-                                       EventType event) {
-  if (context.fleet != nullptr) {
-    return context.fleet->ReadProfile(context.epochs, image_name, event);
-  }
-  return ReadMergedProfile(*context.db, context.epochs, image_name, event);
 }
 
 std::vector<ProfInput> GatherProfInputs(System& system, EventType secondary) {

@@ -1,8 +1,8 @@
 // Convenience glue used by the CLI tools, examples, and benchmarks:
 // the shared CLI scaffolding (flag parsing, read-only database opening,
-// epoch resolution, parallel image loading, cross-epoch profile merging),
-// gathering profile inputs from a live System, and running the full
-// analyzer on a procedure with whatever event profiles are available.
+// epoch resolution, parallel image loading), gathering profile inputs from
+// a live System, and running the full analyzer on a procedure with
+// whatever event profiles are available.
 
 #ifndef SRC_TOOLS_TOOLKIT_H_
 #define SRC_TOOLS_TOOLKIT_H_
@@ -21,10 +21,9 @@ namespace dcpi {
 
 // ---- Shared CLI scaffolding ----
 //
-// Every database-reading tool (dcpiprof, dcpicalc, dcpistats, dcpicheck)
-// accepts the same epoch-selection and execution flags:
-//   --epoch N      analyze epoch N (repeatable; replaces the old
-//                  positional-epoch argument)
+// Every database-reading tool accepts the same epoch-selection and
+// execution flags (dcpidiff takes its two epochs positionally instead):
+//   --epoch N      analyze epoch N (repeatable)
 //   --all-epochs   analyze every sealed epoch (every epoch if none is
 //                  sealed yet)
 //   --jobs N       worker threads (default: hardware concurrency)
@@ -34,6 +33,10 @@ namespace dcpi {
 // With no epoch flag, a tool reads the latest sealed epoch (or the latest
 // epoch of a fresh batch database). Databases are opened read-only, so a
 // tool can run concurrently against a database a daemon is still writing.
+// A plain database opens as a one-shard FleetView, so every tool reads a
+// host and a fleet through the same calls and the same skip rule for an
+// unreadable profile file (ProfileDatabase::ReadMerged); --fleet only
+// changes what the view holds and how a tool shapes its output.
 
 struct ToolOptions {
   int jobs = 0;
@@ -49,17 +52,10 @@ struct ToolOptions {
 // flag with a missing or malformed value (print usage, exit 2).
 int ParseToolFlag(int argc, char** argv, int* arg, ToolOptions* options);
 
-// Strictly numeric uint32 parse for CLI values: every character must be a
-// digit and the value must fit ("2x", "", "-1", and overflow all fail).
-// Tool mains use this instead of atoi so a typo exits 2 with usage instead
-// of silently running with a half-parsed number.
-bool ParseUint32(const char* s, uint32_t* out);
-
 struct ToolContext {
-  // Exactly one of these is set: `db` for a single-host database, `fleet`
-  // for a --fleet open over host_<id> shards (all opened kReadOnly).
-  std::unique_ptr<ProfileDatabase> db;
-  std::unique_ptr<FleetView> fleet;
+  // Every shard opened kReadOnly: the host_<id> shards of a --fleet root,
+  // or the plain database as the one shard.
+  FleetView view;
   std::vector<uint32_t> epochs;  // resolved, ascending, deduplicated
 };
 
@@ -75,20 +71,6 @@ Result<ToolContext> OpenToolDatabase(const std::string& db_root,
 // unreadable file fails the whole set.
 Result<std::vector<std::shared_ptr<ExecutableImage>>> LoadImageSet(
     const std::vector<std::string>& paths, int jobs);
-
-// Reads and merges one (image, event) profile across `epochs` (ascending
-// merge order, so the result is deterministic). NotFound if no epoch has
-// the profile.
-Result<ImageProfile> ReadMergedProfile(const ProfileDatabase& db,
-                                       const std::vector<uint32_t>& epochs,
-                                       const std::string& image_name,
-                                       EventType event);
-
-// Same through a ToolContext: dispatches to the single database or the
-// fleet merge-on-read path, whichever the context holds.
-Result<ImageProfile> ReadMergedProfile(const ToolContext& context,
-                                       const std::string& image_name,
-                                       EventType event);
 
 // Builds dcpiprof inputs for every image known to the kernel (including
 // /vmunix) that has a CYCLES profile in the daemon.

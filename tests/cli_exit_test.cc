@@ -107,6 +107,7 @@ TEST_F(CliExitTest, ContinuousPipelineExitsZeroAndEmptyEpochsExitOne) {
   EXPECT_EQ(RunTool("dcpiprof " + db + all_images), 0);
   EXPECT_EQ(RunTool("dcpiprof --all-epochs " + db + all_images), 0);
   EXPECT_EQ(RunTool("dcpiprof -i --epoch 0 --epoch 1 " + db + all_images), 0);
+  EXPECT_EQ(RunTool("dcpiprof --epoch 001 " + db + all_images), 0);  // padded value
   EXPECT_EQ(RunTool("dcpistats " + db + all_images), 0);
   EXPECT_EQ(RunTool("dcpicheck --all-epochs " + db + all_images), 0);
   EXPECT_EQ(RunTool("dcpidiff " + db + " 0 1" + all_images), 0);

@@ -21,7 +21,6 @@
 #include "src/profiledb/database.h"
 #include "src/sim/system.h"
 #include "src/tools/dcpiprof.h"
-#include "src/tools/toolkit.h"
 #include "src/workloads/workloads.h"
 #include "tests/scratch_dir.h"
 
@@ -61,8 +60,7 @@ std::map<std::string, uint64_t> ImageTotals(const ProfileDatabase& db,
                                             const std::vector<std::string>& names) {
   std::map<std::string, uint64_t> totals;
   for (const std::string& name : names) {
-    Result<ImageProfile> merged =
-        ReadMergedProfile(db, epochs, name, EventType::kCycles);
+    Result<ImageProfile> merged = db.ReadMerged(epochs, name, EventType::kCycles);
     if (merged.ok()) totals[name] = merged.value().total_samples();
   }
   return totals;
@@ -164,7 +162,7 @@ TEST(Continuous, ConcurrentReaderMatchesPostHocListing) {
     // the sealed prefix, format the procedure listing.
     ProfileDatabase db(root + "/db", DbOpenMode::kReadOnly);
     Result<ImageProfile> cycles =
-        ReadMergedProfile(db, sealed_prefix, image->name(), EventType::kCycles);
+        db.ReadMerged(sealed_prefix, image->name(), EventType::kCycles);
     if (!cycles.ok()) return "unreadable: " + cycles.status().ToString();
     ProfInput input;
     input.image = image;
@@ -230,8 +228,8 @@ TEST(Continuous, TimedFlushesPersistTheLiveEpoch) {
     uint64_t db_total = 0;
     ProfileDatabase db(db_root, DbOpenMode::kReadOnly);
     for (const ImageTruth& truth : system.kernel().ground_truth().images()) {
-      Result<ImageProfile> merged = ReadMergedProfile(
-          db, db.ListSealedEpochs(), truth.image->name(), EventType::kCycles);
+      Result<ImageProfile> merged =
+          db.ReadMerged(db.ListSealedEpochs(), truth.image->name(), EventType::kCycles);
       if (merged.ok()) db_total += merged.value().total_samples();
     }
     EXPECT_GT(db_total, 0u);

@@ -1,11 +1,11 @@
-// Differential and adversarial tests for the daemon's batched ingest path
-// (Section 5.4's per-sample-work reduction): the batched staging-vector
-// path must produce byte-identical profiles to the legacy per-sample path
-// over partially-filled buffers, duplicate flushes, zero-count records,
-// off-grid PCs, and unknown samples — and staged counts must never leak
-// across a sealed epoch boundary. The drain thread's wait protocol is
-// pinned here too: it parks without burning CPU, and a clock advance
-// wakes it for a due timed flush.
+// Oracle and adversarial tests for the daemon's batched ingest path
+// (Section 5.4's per-sample-work reduction): the staging-vector path must
+// produce byte-identical profiles to a std::map reference ingest over
+// partially-filled buffers, duplicate flushes, zero-count records, off-grid
+// PCs, and unknown samples — and staged counts must never leak across a
+// sealed epoch boundary. The drain thread's wait protocol is pinned here
+// too: it parks without burning CPU, and a clock advance wakes it for a
+// due timed flush.
 
 #include <gtest/gtest.h>
 #include <time.h>
@@ -43,28 +43,68 @@ void LoadStandardMaps(Daemon* daemon) {
   daemon->ProcessLoaderEvents(std::move(events));
 }
 
-DaemonConfig Batched() {
-  DaemonConfig config;
-  config.batched_ingest = true;
-  return config;
-}
+// Serialized profile bytes, keyed by (image, event).
+using ProfileBytes = std::map<std::pair<std::string, int>, std::vector<uint8_t>>;
 
-DaemonConfig Legacy() {
-  DaemonConfig config;
-  config.batched_ingest = false;
-  return config;
-}
-
-// Serialized bytes of every in-memory profile, keyed by (image, event).
-std::map<std::pair<std::string, int>, std::vector<uint8_t>> Snapshot(
-    const Daemon& daemon) {
-  std::map<std::pair<std::string, int>, std::vector<uint8_t>> snapshot;
+// Every in-memory profile of `daemon`.
+ProfileBytes Snapshot(const Daemon& daemon) {
+  ProfileBytes snapshot;
   for (const ImageProfile* profile : daemon.AllProfiles()) {
     snapshot[{profile->image_name(), static_cast<int>(profile->event())}] =
         SerializeProfile(*profile);
   }
   return snapshot;
 }
+
+// The reference ingest for the maps of LoadStandardMaps, one record at a
+// time into ordered per-(image, event) profiles, the way hash_policy_test
+// keeps its std::map oracle for the hash table. A record resolves through
+// the two test images under pid 7; anything else is the unknown image at
+// offset 0. Off-grid offsets are kept as they are, and zero counts create
+// nothing.
+class IngestOracle {
+ public:
+  void Ingest(const std::vector<SampleRecord>& records) {
+    for (const SampleRecord& record : records) {
+      ++records_;
+      if (record.count == 0) continue;
+      std::string image = "unknown";
+      uint64_t offset = 0;
+      for (const std::shared_ptr<ExecutableImage>& mapped : images_) {
+        if (record.key.pid == 7 && record.key.pc >= mapped->text_base() &&
+            record.key.pc < mapped->text_end()) {
+          image = mapped->name();
+          offset = record.key.pc - mapped->text_base();
+        }
+      }
+      if (image == "unknown") {
+        unknown_ += record.count;
+      } else {
+        attributed_ += record.count;
+      }
+      auto key = std::make_pair(image, static_cast<int>(record.key.event));
+      auto it = profiles_.try_emplace(key, image, record.key.event, 0.0).first;
+      it->second.AddSamples(offset, record.count);
+    }
+  }
+
+  ProfileBytes Profiles() const {
+    ProfileBytes bytes;
+    for (const auto& [key, profile] : profiles_) bytes[key] = SerializeProfile(profile);
+    return bytes;
+  }
+  uint64_t records() const { return records_; }
+  uint64_t attributed() const { return attributed_; }
+  uint64_t unknown() const { return unknown_; }
+
+ private:
+  const std::shared_ptr<ExecutableImage> images_[2] = {
+      TinyImage("libA", 0x0100'0000), TinyImage("libB", 0x0200'0000)};
+  std::map<std::pair<std::string, int>, ImageProfile> profiles_;
+  uint64_t records_ = 0;
+  uint64_t attributed_ = 0;
+  uint64_t unknown_ = 0;
+};
 
 // An adversarial buffer mix: mapped PCs (both images), unmapped PCs, a
 // wrong PID, an off-grid PC (offset not a multiple of 4 — takes the
@@ -101,14 +141,13 @@ std::vector<SampleRecord> AdversarialRecords(SplitMix64& rng, int length) {
   return records;
 }
 
-TEST(DaemonIngest, BatchedMatchesLegacyOverAdversarialBuffers) {
+TEST(DaemonIngest, MatchesOracleOverAdversarialBuffers) {
   constexpr int kTrials = 16;
   for (int trial = 0; trial < kTrials; ++trial) {
     SplitMix64 rng(0xBA7C'0000ull + trial);
-    Daemon batched(nullptr, nullptr, {}, Batched());
-    Daemon legacy(nullptr, nullptr, {}, Legacy());
-    LoadStandardMaps(&batched);
-    LoadStandardMaps(&legacy);
+    Daemon daemon(nullptr, nullptr);
+    LoadStandardMaps(&daemon);
+    IngestOracle oracle;
 
     // A run is a sequence of buffers of wildly varying fill levels,
     // including empty ones (a drained buffer can be partially filled or
@@ -117,51 +156,47 @@ TEST(DaemonIngest, BatchedMatchesLegacyOverAdversarialBuffers) {
     for (int b = 0; b < buffers; ++b) {
       int length = static_cast<int>(rng.NextBelow(40));  // 0 = empty buffer
       std::vector<SampleRecord> records = AdversarialRecords(rng, length);
-      batched.ProcessBuffer(0, records);
-      legacy.ProcessBuffer(0, records);
+      daemon.ProcessBuffer(0, records);
+      oracle.Ingest(records);
     }
 
-    EXPECT_EQ(Snapshot(batched), Snapshot(legacy)) << "trial " << trial;
-    EXPECT_EQ(batched.stats().records_processed, legacy.stats().records_processed);
-    EXPECT_EQ(batched.stats().samples_attributed, legacy.stats().samples_attributed);
-    EXPECT_EQ(batched.stats().samples_unknown, legacy.stats().samples_unknown);
+    EXPECT_EQ(Snapshot(daemon), oracle.Profiles()) << "trial " << trial;
+    EXPECT_EQ(daemon.stats().records_processed, oracle.records());
+    EXPECT_EQ(daemon.stats().samples_attributed, oracle.attributed());
+    EXPECT_EQ(daemon.stats().samples_unknown, oracle.unknown());
   }
 }
 
-TEST(DaemonIngest, DuplicateFlushIsAdditiveInBothPaths) {
+TEST(DaemonIngest, DuplicateFlushIsAdditive) {
   // The driver may legally drain the same aggregate twice (e.g. a key
-  // evicted and re-inserted); both paths must accumulate, not replace.
-  for (const DaemonConfig& config : {Batched(), Legacy()}) {
-    Daemon daemon(nullptr, nullptr, {}, config);
-    LoadStandardMaps(&daemon);
-    std::vector<SampleRecord> records;
-    records.push_back({{7, 0x0100'0004, EventType::kCycles}, 10});
-    daemon.ProcessBuffer(0, records);
-    daemon.ProcessBuffer(1, records);  // duplicate flush, different CPU
-    const ImageProfile* profile = daemon.FindProfile("libA", EventType::kCycles);
-    ASSERT_NE(profile, nullptr);
-    EXPECT_EQ(profile->SamplesAt(4), 20u);
-  }
+  // evicted and re-inserted); ingest must accumulate, not replace.
+  Daemon daemon(nullptr, nullptr);
+  LoadStandardMaps(&daemon);
+  std::vector<SampleRecord> records;
+  records.push_back({{7, 0x0100'0004, EventType::kCycles}, 10});
+  daemon.ProcessBuffer(0, records);
+  daemon.ProcessBuffer(1, records);  // duplicate flush, different CPU
+  const ImageProfile* profile = daemon.FindProfile("libA", EventType::kCycles);
+  ASSERT_NE(profile, nullptr);
+  EXPECT_EQ(profile->SamplesAt(4), 20u);
 }
 
 TEST(DaemonIngest, EmptyAndZeroCountBuffersCreateNoProfiles) {
-  for (const DaemonConfig& config : {Batched(), Legacy()}) {
-    Daemon daemon(nullptr, nullptr, {}, config);
-    LoadStandardMaps(&daemon);
-    daemon.ProcessBuffer(0, std::vector<SampleRecord>{});
-    std::vector<SampleRecord> zeros(5, {{7, 0x0100'0000, EventType::kCycles}, 0});
-    daemon.ProcessBuffer(0, zeros);
-    // Zero-count records carry no samples: no profile may materialize in
-    // either path (a zero-count map entry would change the serialized
-    // bytes without changing any total).
-    EXPECT_TRUE(daemon.AllProfiles().empty());
-    EXPECT_EQ(daemon.stats().records_processed, 5u);
-    EXPECT_EQ(daemon.stats().samples_attributed, 0u);
-  }
+  Daemon daemon(nullptr, nullptr);
+  LoadStandardMaps(&daemon);
+  daemon.ProcessBuffer(0, std::vector<SampleRecord>{});
+  std::vector<SampleRecord> zeros(5, {{7, 0x0100'0000, EventType::kCycles}, 0});
+  daemon.ProcessBuffer(0, zeros);
+  // Zero-count records carry no samples: no profile may materialize (a
+  // zero-count map entry would change the serialized bytes without
+  // changing any total).
+  EXPECT_TRUE(daemon.AllProfiles().empty());
+  EXPECT_EQ(daemon.stats().records_processed, 5u);
+  EXPECT_EQ(daemon.stats().samples_attributed, 0u);
 }
 
 TEST(DaemonIngest, BatchedAmortizesLockAcquisitions) {
-  Daemon daemon(nullptr, nullptr, {}, Batched());
+  Daemon daemon(nullptr, nullptr);
   LoadStandardMaps(&daemon);
   // 30 records over 2 (image, event) pairs: 2 groups, not 30.
   std::vector<SampleRecord> records;
@@ -175,10 +210,9 @@ TEST(DaemonIngest, BatchedAmortizesLockAcquisitions) {
   EXPECT_EQ(daemon.stats().ingest_groups, 2u);
   EXPECT_EQ(daemon.stats().records_processed, 30u);
   // The modelled cost charges per record + per group + per buffer.
-  const DaemonConfig& config = daemon.config();
   EXPECT_EQ(daemon.stats().daemon_cycles,
-            30 * config.cycles_per_record_batched + 2 * config.cycles_per_group +
-                config.cycles_per_buffer_flush);
+            30 * Daemon::kCyclesPerRecord + 2 * Daemon::kCyclesPerGroup +
+                Daemon::kCyclesPerBuffer);
   // Reading a profile drains its staging vector exactly once.
   uint64_t drains_before = daemon.stats().staging_drains;
   ASSERT_NE(daemon.FindProfile("libA", EventType::kCycles), nullptr);
@@ -245,7 +279,7 @@ TEST_F(IngestDbTest, EpochRollFlushesStagingIntoSealedEpoch) {
   // epoch being sealed — they must land on disk in that epoch and must
   // not survive into the next one.
   ProfileDatabase db(root_);
-  Daemon daemon(nullptr, &db, {}, Batched());
+  Daemon daemon(nullptr, &db);
   LoadStandardMaps(&daemon);
 
   std::vector<SampleRecord> epoch0;
@@ -275,41 +309,50 @@ TEST_F(IngestDbTest, EpochRollFlushesStagingIntoSealedEpoch) {
   EXPECT_EQ(live->total_samples(), 5u);
 }
 
-TEST_F(IngestDbTest, BatchedAndLegacyWriteIdenticalDatabases) {
-  // End-to-end on-disk equivalence: same buffers, same flush points, both
-  // paths must produce byte-identical profile files.
+TEST_F(IngestDbTest, WritesOracleProfilesPerEpoch) {
+  // End-to-end on disk: six adversarial buffers with a roll after the
+  // third. Every profile file holds exactly the oracle's profile for its
+  // epoch, and the two seal markers are the only other files.
   SplitMix64 rng(0xD15Cull);
   std::vector<std::vector<SampleRecord>> buffers;
   for (int b = 0; b < 6; ++b) {
     buffers.push_back(AdversarialRecords(rng, 30));
   }
-  std::map<std::string, std::vector<uint8_t>> files[2];
-  int index = 0;
-  for (const DaemonConfig& config : {Batched(), Legacy()}) {
-    std::string root = root_ + (config.batched_ingest ? "_batched" : "_legacy");
-    {
-      ProfileDatabase db(root);
-      Daemon daemon(nullptr, &db, {}, config);
-      LoadStandardMaps(&daemon);
-      for (size_t b = 0; b < buffers.size(); ++b) {
-        daemon.ProcessBuffer(0, buffers[b]);
-        if (b == 2) {
-          ASSERT_TRUE(daemon.RollEpoch(1000).ok());
-        }
+  IngestOracle oracles[2];
+  {
+    ProfileDatabase db(root_);
+    Daemon daemon(nullptr, &db);
+    LoadStandardMaps(&daemon);
+    for (size_t b = 0; b < buffers.size(); ++b) {
+      daemon.ProcessBuffer(0, buffers[b]);
+      oracles[b <= 2 ? 0 : 1].Ingest(buffers[b]);
+      if (b == 2) {
+        ASSERT_TRUE(daemon.RollEpoch(1000).ok());
       }
-      ASSERT_TRUE(daemon.FlushToDatabase().ok());
-      ASSERT_TRUE(daemon.SealCurrentEpoch(2000).ok());
     }
-    for (const auto& entry : std::filesystem::recursive_directory_iterator(root)) {
-      if (!entry.is_regular_file()) continue;
-      std::string rel = std::filesystem::relative(entry.path(), root).string();
-      std::ifstream in(entry.path(), std::ios::binary);
-      files[index][rel] = std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                                               std::istreambuf_iterator<char>());
-    }
-    ++index;
+    ASSERT_TRUE(daemon.FlushToDatabase().ok());
+    ASSERT_TRUE(daemon.SealCurrentEpoch(2000).ok());
   }
-  EXPECT_EQ(files[0], files[1]);
+  std::map<std::string, std::vector<uint8_t>> expected;
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    const std::string dir = "epoch_" + std::to_string(epoch) + "/";
+    for (const auto& [key, bytes] : oracles[epoch].Profiles()) {
+      expected[dir + ProfileDatabase::ProfileFileName(
+                         key.first, static_cast<EventType>(key.second))] = bytes;
+    }
+    const std::string marker =
+        "sealed at_cycles=" + std::to_string(epoch == 0 ? 1000 : 2000) + "\n";
+    expected[dir + ".sealed"] = std::vector<uint8_t>(marker.begin(), marker.end());
+  }
+  std::map<std::string, std::vector<uint8_t>> files;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(root_)) {
+    if (!entry.is_regular_file()) continue;
+    std::string rel = std::filesystem::relative(entry.path(), root_).string();
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[rel] = std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                                      std::istreambuf_iterator<char>());
+  }
+  EXPECT_EQ(files, expected);
 }
 
 }  // namespace

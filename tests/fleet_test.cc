@@ -1,7 +1,9 @@
 // Fleet view tests: merge-on-read determinism under host permutation,
 // compaction equivalence with merge-on-read (and with itself across jobs
 // counts), 1-host fleets matching plain single-database reads, the
-// compactor's provenance sidecar, and the mixed-seal epoch rules.
+// compactor's provenance sidecar, the mixed-seal epoch rules, canonical
+// shard directory names, and the one read rule for an unreadable shard
+// profile.
 
 #include <gtest/gtest.h>
 
@@ -199,6 +201,52 @@ TEST_F(FleetTest, FleetListingHasByHostBreakdown) {
       FormatFleetProcedureListing(rows, {"host_0", "host_1"}, "imiss");
   EXPECT_NE(listing.find("hosts: host_0 host_1"), std::string::npos);
   EXPECT_NE(listing.find("30/12"), std::string::npos);
+}
+
+TEST_F(FleetTest, CorruptShardProfileIsSkippedLikeCompaction) {
+  // Every reader skips a profile whose read fails. With host_1's file
+  // corrupt, merge-on-read, the compacted database and a plain one-shard
+  // view of host_0 must all read host_0's profile.
+  ImageProfile a = MakeProfile(1000, {{0, 10}, {8, 5}});
+  WriteShard(root_, 0, {a});
+  WriteShard(root_, 1, {MakeProfile(1200, {{0, 4}})});
+  const std::string path = root_ + "/host_1/epoch_0/" +
+                           ProfileDatabase::ProfileFileName("app", EventType::kCycles);
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFile(path, &bytes).ok());
+  bytes[bytes.size() / 2] ^= 0x01;
+  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+
+  FleetView view(root_);
+  ASSERT_EQ(view.num_hosts(), 2u);
+  Result<ImageProfile> on_read = view.ReadProfile({0}, "app", EventType::kCycles);
+  ASSERT_TRUE(on_read.ok()) << on_read.status().ToString();
+  ASSERT_TRUE(CompactFleet(view, root_ + "/merged", {0}).ok());
+  ProfileDatabase merged(root_ + "/merged", DbOpenMode::kReadOnly);
+  Result<ImageProfile> compacted = merged.ReadProfile(0, "app", EventType::kCycles);
+  ASSERT_TRUE(compacted.ok());
+  FleetView host0 = FleetView::SingleShard(root_ + "/host_0");
+  Result<ImageProfile> plain = host0.ReadProfile({0}, "app", EventType::kCycles);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(SerializeProfile(on_read.value()), SerializeProfile(a));
+  EXPECT_EQ(SerializeProfile(compacted.value()), SerializeProfile(a));
+  EXPECT_EQ(SerializeProfile(plain.value()), SerializeProfile(a));
+}
+
+TEST_F(FleetTest, PaddedOrOverflowingHostDirsAreIgnored) {
+  // Only the canonical host_<N> spelling is a shard. host_01 would alias
+  // host_1 and host_4294967296 would wrap to host_0, merging a stray
+  // directory's profiles into the fleet.
+  for (const char* name : {"host_0", "host_1", "host_01", "host_4294967296"}) {
+    ProfileDatabase db(root_ + "/" + name);
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile(1000, {{0, 1}})).ok());
+    ASSERT_TRUE(db.SealCurrentEpoch().ok());
+  }
+  FleetView view(root_);
+  EXPECT_EQ(view.host_names(), (std::vector<std::string>{"host_0", "host_1"}));
+  Result<ImageProfile> merged = view.ReadProfile({0}, "app", EventType::kCycles);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(merged.value().total_samples(), 2u);
 }
 
 TEST_F(FleetTest, HostDirsSortNumerically) {

@@ -5,14 +5,13 @@
 // host-thread jitter (pseudo-random std::this_thread::yield() calls) and
 // require the merged per-(image, event) profiles — and the simulated
 // timings — to be identical. A final run compares the threaded path
-// against the sequential scheduler on the same machine.
+// against the sequential scheduler on the same machine, down to the bytes
+// of the profile database each writes.
 
-// Two further equivalences ride the same harness: the daemon's batched
-// ingest path must write byte-identical profile databases to the legacy
-// per-sample path (at 1 and 4 CPUs), and the driver's shipped Section 5.4
-// hash policy must leave the profile output untouched relative to the
-// 1997 baseline (with free profiling the sample stream depends only on
-// the simulated machine, so only lost or misattributed samples could
+// A further equivalence rides the same harness: the driver's shipped
+// Section 5.4 hash policy must leave the profile output untouched relative
+// to the 1997 baseline (with free profiling the sample stream depends only
+// on the simulated machine, so only lost or misattributed samples could
 // diverge).
 
 #include <gtest/gtest.h>
@@ -108,14 +107,6 @@ TEST(MpDeterminism, JitteredInterleavingsYieldIdenticalProfiles) {
   }
 }
 
-TEST(MpDeterminism, ThreadedMatchesSequentialScheduler) {
-  // The sharded scheduler is the same machine whether the shards advance on
-  // one host thread or four: identical samples, identical profiles.
-  RunOutcome threaded = RunOnce(MpConfig(/*jitter_seed=*/3));
-  RunOutcome sequential = RunOnce(MpConfig(/*jitter_seed=*/0, /*threaded=*/false));
-  ExpectIdentical(threaded, sequential, "threaded vs sequential");
-}
-
 // Every regular file under `root`, as relative path -> raw bytes.
 std::map<std::string, std::vector<uint8_t>> ReadTree(const std::string& root) {
   std::map<std::string, std::vector<uint8_t>> files;
@@ -129,28 +120,22 @@ std::map<std::string, std::vector<uint8_t>> ReadTree(const std::string& root) {
   return files;
 }
 
-TEST(MpDeterminism, BatchedIngestWritesByteIdenticalDatabase) {
-  // The batched staging path and the legacy per-sample path must produce
-  // byte-identical on-disk databases — same files, same bytes — at one CPU
-  // (sequential scheduler) and four (threaded collection + drain thread).
+TEST(MpDeterminism, ThreadedMatchesSequentialScheduler) {
+  // The sharded scheduler is the same machine whether the shards advance on
+  // one host thread or four: identical samples, identical profiles, and a
+  // byte-identical database — what the drain thread stages and flushes
+  // concurrently is exactly what inline draining writes.
   ScratchDir scratch;
-  for (uint32_t cpus : {1u, 4u}) {
-    std::map<std::string, std::vector<uint8_t>> trees[2];
-    int index = 0;
-    for (bool batched : {true, false}) {
-      std::string root = scratch.path() + "/ingest_db_" + std::to_string(cpus) +
-                         (batched ? "_batched" : "_legacy");
-      SystemConfig config = MpConfig(/*jitter_seed=*/batched ? 0 : 42);
-      config.kernel.num_cpus = cpus;
-      config.daemon.batched_ingest = batched;
-      config.db_root = root;
-      RunOutcome out = RunOnce(config);
-      EXPECT_GT(out.total_samples, 0u);
-      trees[index++] = ReadTree(root);
-    }
-    EXPECT_FALSE(trees[0].empty()) << cpus << " cpus";
-    EXPECT_EQ(trees[0], trees[1]) << cpus << " cpus";
-  }
+  SystemConfig threaded_config = MpConfig(/*jitter_seed=*/3);
+  threaded_config.db_root = scratch.path() + "/threaded";
+  SystemConfig sequential_config = MpConfig(/*jitter_seed=*/0, /*threaded=*/false);
+  sequential_config.db_root = scratch.path() + "/sequential";
+  RunOutcome threaded = RunOnce(threaded_config);
+  RunOutcome sequential = RunOnce(sequential_config);
+  ExpectIdentical(threaded, sequential, "threaded vs sequential");
+  std::map<std::string, std::vector<uint8_t>> tree = ReadTree(threaded_config.db_root);
+  EXPECT_FALSE(tree.empty());
+  EXPECT_EQ(tree, ReadTree(sequential_config.db_root));
 }
 
 TEST(MpDeterminism, MemFractionZeroWritesByteIdenticalDatabase) {

@@ -1,10 +1,12 @@
 // Profile database and daemon tests: serialization round trips (property),
-// compression vs fixed-width, epochs, merging, PC resolution, and unknown
-// sample accounting.
+// compression vs fixed-width, epochs and their directory names, merging and
+// the cross-epoch fold, PC resolution, and unknown sample accounting.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <vector>
 
 #include "src/daemon/daemon.h"
 #include "src/isa/assembler.h"
@@ -140,6 +142,60 @@ TEST_F(DbTest, ReopeningPopulatedRootResumesEpochNumbering) {
   // first run's epoch 0.
   EXPECT_EQ(db.ReadProfile(0, "img", EventType::kCycles).value().SamplesAt(0), 5u);
   EXPECT_EQ(db.ReadProfile(1, "img", EventType::kCycles).value().SamplesAt(0), 3u);
+}
+
+TEST_F(DbTest, ReadMergedFoldsInEpochOrderAndSkipsUnreadableEpochs) {
+  ProfileDatabase db(root_);
+  for (uint64_t samples : {5u, 3u, 7u}) {
+    ASSERT_TRUE(db.NewEpoch().ok());
+    ImageProfile p("img", EventType::kCycles, 1000.0 * samples);
+    p.AddSamples(0, samples);
+    ASSERT_TRUE(db.ReplaceProfile(p).ok());
+  }
+  // The fold is ascending whatever order the epochs are named in: the
+  // sample-weighted period depends on the merge order.
+  Result<ImageProfile> forward = db.ReadMerged({0, 1, 2}, "img", EventType::kCycles);
+  Result<ImageProfile> backward = db.ReadMerged({2, 0, 1}, "img", EventType::kCycles);
+  ASSERT_TRUE(forward.ok());
+  ASSERT_TRUE(backward.ok());
+  EXPECT_EQ(SerializeProfile(forward.value()), SerializeProfile(backward.value()));
+  EXPECT_EQ(forward.value().SamplesAt(0), 15u);
+
+  // A corrupt epoch is skipped, not an error; missing epochs are too.
+  std::string path =
+      root_ + "/epoch_1/" + ProfileDatabase::ProfileFileName("img", EventType::kCycles);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+  Result<ImageProfile> skipped = db.ReadMerged({0, 1, 2, 9}, "img", EventType::kCycles);
+  ASSERT_TRUE(skipped.ok());
+  EXPECT_EQ(skipped.value().SamplesAt(0), 12u);
+  Result<ImageProfile> none = db.ReadMerged({1, 9}, "img", EventType::kCycles);
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(DbTest, StrayEpochDirNamesAreIgnored) {
+  // Only the canonical epoch_<N> spelling is an epoch: a padded or
+  // overflowing name must not alias epoch 1, or every reader would merge
+  // epoch 1 twice and the writer would skip an epoch number.
+  {
+    ProfileDatabase db(root_);
+    ImageProfile a("img", EventType::kCycles, 1000);
+    a.AddSamples(0, 5);
+    ASSERT_TRUE(db.ReplaceProfile(a).ok());
+    ASSERT_TRUE(db.SealCurrentEpoch().ok());
+  }
+  for (const char* stray : {"epoch_01", "epoch_4294967297", "epoch_", "epoch_1x"}) {
+    std::filesystem::create_directories(root_ + "/" + stray);
+  }
+  ProfileDatabase read_only(root_, DbOpenMode::kReadOnly);
+  EXPECT_EQ(read_only.ListEpochs(), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(read_only.ListSealedEpochs(), (std::vector<uint32_t>{0}));
+  ProfileDatabase db(root_);
+  EXPECT_EQ(db.scan_report().epochs_found, 1u);
+  EXPECT_EQ(db.scan_report().next_epoch, 1u);
+  Result<uint32_t> next = db.NewEpoch();
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.value(), 1u);
 }
 
 TEST_F(DbTest, ReadMissingProfileFails) {

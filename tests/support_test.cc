@@ -1,6 +1,6 @@
 // Support library tests: status/result, RNG properties, binary I/O
-// round trips (property test), CRC32, atomic file writes, statistics,
-// histograms, text tables.
+// round trips (property test), CRC32, atomic file writes, strict number
+// parsing, statistics, histograms, text tables.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 
 #include "src/support/binary_io.h"
 #include "src/support/crc32.h"
+#include "src/support/parse.h"
 #include "src/support/rng.h"
 #include "src/support/stats.h"
 #include "src/support/status.h"
@@ -231,6 +232,32 @@ TEST_F(AtomicWriteTest, ReadFileEnforcesSizeCap) {
   EXPECT_FALSE(ReadFile(path, &read, /*max_bytes=*/10).ok());
   EXPECT_TRUE(ReadFile(path, &read, /*max_bytes=*/100).ok());
   EXPECT_EQ(read.size(), 100u);
+}
+
+TEST(Parse, Uint32IsStrictAndOverflowChecked) {
+  uint32_t value = 0;
+  EXPECT_TRUE(ParseUint32("4294967295", &value));
+  EXPECT_EQ(value, 4294967295u);
+  EXPECT_TRUE(ParseUint32("007", &value));  // CLI values may be padded
+  EXPECT_EQ(value, 7u);
+  for (const char* bad : {"", "2x", "-1", "+1", " 1", "4294967296", "99999999999"}) {
+    value = 123;
+    EXPECT_FALSE(ParseUint32(bad, &value)) << bad;
+    EXPECT_EQ(value, 123u) << bad;  // untouched on failure
+  }
+}
+
+TEST(Parse, NumberedNamesAreCanonical) {
+  uint32_t value = 0;
+  EXPECT_TRUE(ParseNumberedName("epoch_0", "epoch_", &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(ParseNumberedName("host_4294967295", "host_", &value));
+  EXPECT_EQ(value, 4294967295u);
+  // Padded and overflowing spellings would alias a real directory.
+  for (const char* bad : {"epoch_01", "epoch_00", "epoch_4294967297", "epoch_",
+                          "epoch_1x", "epoch_-1", "host_1", "xepoch_1"}) {
+    EXPECT_FALSE(ParseNumberedName(bad, "epoch_", &value)) << bad;
+  }
 }
 
 TEST(RunningStat, MomentsMatchDirectComputation) {
