@@ -21,7 +21,11 @@
 #   --fast runs only the concurrency-relevant tests under TSan and the
 #   crash/corruption/durability and simulator-core tests (CPU, kernel,
 #   caches, TLBs, write buffer, ISA, golden digests) under ASan (the full
-#   suites are slow on small hosts).
+#   suites are slow on small hosts). Both filters include ProcessRelease:
+#   under TSan an exited process's address space is released on the
+#   per-CPU worker threads, and under ASan a memo left pointing into a
+#   released page would be a use-after-free. No bench smoke gates on RSS:
+#   ASan's quarantine keeps freed memory resident.
 #   --lint additionally runs clang-tidy (config in .clang-tidy) over the
 #   compile-commands database. Skipped with a notice when clang-tidy is not
 #   installed, so the gate stays usable on minimal containers.
@@ -151,7 +155,7 @@ run_config() {
 if [[ "$RUN_TSAN" == 1 ]]; then
   TSAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    TSAN_FILTER="DriverConcurrency|MpDeterminism|PipelineIntegration|DcpiDriver|KernelSched|ThreadPool|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|MemorySection|SimGolden"
+    TSAN_FILTER="DriverConcurrency|MpDeterminism|PipelineIntegration|DcpiDriver|KernelSched|ThreadPool|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|MemorySection|SimGolden|ProcessRelease"
   fi
   run_config build-tsan "-fsanitize=thread -O1 -g -fno-omit-frame-pointer" "$TSAN_FILTER"
 fi
@@ -159,7 +163,7 @@ fi
 if [[ "$RUN_ASAN" == 1 ]]; then
   ASAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    ASAN_FILTER="ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|CpuTiming|KernelSmoke|Cache|Tlb|WriteBuffer|Isa|SimGolden"
+    ASAN_FILTER="ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|CpuTiming|KernelSmoke|Cache|Tlb|WriteBuffer|Isa|SimGolden|ProcessRelease"
   fi
   # -fno-sanitize-recover makes undefined behaviour fail the test that hits
   # it instead of only printing a report.

@@ -460,7 +460,10 @@ uint64_t Daemon::MemoryUsageBytes() const {
   for (const auto& [key, slot_ptr] : profiles_) {
     ProfileSlot* slot = slot_ptr.get();
     MutexLock slot_lock(&slot->mu);
-    total += slot->profile.memory_bytes() + slot->staged.capacity() * 8;
+    // Size, not capacity: the size is the highest offset ingested plus
+    // one, while the capacity depends on the order the drain thread grew
+    // the vector in.
+    total += slot->profile.memory_bytes() + slot->staged.size() * 8;
   }
   return total;
 }

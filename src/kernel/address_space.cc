@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 namespace dcpi {
 
@@ -49,6 +50,16 @@ Status AddressSpace::MapAnonymous(uint64_t start, uint64_t size) {
   if (size == 0) return InvalidArgument("empty anonymous mapping");
   valid_ranges_.push_back({start, start + size});
   return Status::Ok();
+}
+
+void AddressSpace::Release() {
+  // Swapping with empty containers frees the hash tables' bucket arrays
+  // and the vectors' storage too, which clear() would keep.
+  mapper_.Release();
+  std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>>().swap(pages_);
+  std::fill(std::begin(page_memo_), std::end(page_memo_), PageMemo());
+  std::vector<Range>().swap(valid_ranges_);
+  std::vector<Mapping>().swap(mappings_);
 }
 
 bool AddressSpace::InValidRange(uint64_t vaddr, unsigned size) const {

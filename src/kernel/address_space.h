@@ -64,7 +64,12 @@ class AddressSpace {
   };
   const std::vector<Mapping>& mappings() const { return mappings_; }
 
-  // Approximate resident size (for the Table 5 style accounting).
+  // Frees the backing pages, the page colouring and both memos once the
+  // process has exited, and unmaps everything, so a stray access afterwards
+  // fails instead of allocating a fresh page.
+  void Release();
+
+  // Bytes of backing pages held (0 once released).
   uint64_t touched_bytes() const { return pages_.size() * kPageBytes; }
 
  private:
@@ -77,9 +82,9 @@ class AddressSpace {
     uint64_t end;
   };
 
-  // Direct-mapped cache of recent PageFor results. Pages are never freed
-  // while the address space lives and their storage never moves, so a
-  // memoized pointer stays valid.
+  // Direct-mapped cache of recent PageFor results. A page's storage never
+  // moves, and pages are freed only by Release, which clears the memo with
+  // them, so a memoized pointer stays valid.
   struct PageMemo {
     uint64_t vpage = ~0ull;  // no page number: vaddr / kPageBytes < 2^51
     uint8_t* page = nullptr;

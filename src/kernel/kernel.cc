@@ -70,6 +70,7 @@ Kernel::Kernel(const KernelConfig& config) : config_(config) {
     cpus_.back()->set_ground_truth(truth_shards_.back().get());
   }
   run_queues_.resize(config.num_cpus);
+  exited_.resize(config.num_cpus);
 
   Result<std::shared_ptr<ExecutableImage>> vmunix =
       Assemble("/vmunix", kVmunixBase, kVmunixSource);
@@ -177,15 +178,14 @@ bool Kernel::RunOneStep(uint32_t cpu_index) {
   process->AddCpuCycles(result.cycles_used);
   process->AddInstructions(result.instructions);
   switch (result.reason) {
-    case ExitReason::kHalted:
-      process->set_state(ProcessState::kDone);
-      EmitExitEvents(*process);
-      break;
     case ExitReason::kBadPc:
     case ExitReason::kBadMemory:
       had_error_.store(true, std::memory_order_relaxed);
+      [[fallthrough]];
+    case ExitReason::kHalted:
       process->set_state(ProcessState::kDone);
       EmitExitEvents(*process);
+      exited_[cpu_index].push_back(process);
       break;
     case ExitReason::kQuantumExpired:
     case ExitReason::kYielded:
@@ -205,7 +205,7 @@ bool Kernel::RunCpuShard(uint32_t cpu_index, uint64_t max_cycles) {
   return run_queues_[cpu_index].empty();
 }
 
-void Kernel::Run(uint64_t max_cycles) {
+bool Kernel::Run(uint64_t max_cycles) {
   while (true) {
     // Pick the least-advanced CPU still under budget with runnable work
     // (approximates concurrent execution with sequential simulation).
@@ -219,6 +219,13 @@ void Kernel::Run(uint64_t max_cycles) {
     if (cpu == nullptr) break;
     RunOneStep(cpu->cpu_id());
   }
+  return std::all_of(run_queues_.begin(), run_queues_.end(),
+                     [](const std::deque<Process*>& queue) { return queue.empty(); });
+}
+
+void Kernel::ReleaseExited(uint32_t cpu_index) {
+  for (Process* process : exited_[cpu_index]) process->aspace().Release();
+  exited_[cpu_index].clear();
 }
 
 std::vector<LoaderEvent> Kernel::DrainLoaderEvents() {

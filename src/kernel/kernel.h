@@ -8,7 +8,13 @@
 //     simulated `vmunix` image, and idle CPUs execute its `idle_loop`, so
 //     kernel time is profiled exactly like user code (Figure 1 lists
 //     /vmunix rows);
-//   * PID management and process reaping.
+//   * PID management and process reaping. A process that ends (halt, bad
+//     PC or bad memory) goes on its CPU's exited list; ReleaseExited()
+//     frees its address space (pages, page colouring, memos) but keeps
+//     the Process object, so its state and counters stay readable. The
+//     System calls it at every quiesce point. Run() and RunCpuShard()
+//     never release, so a Kernel driven directly keeps an exited
+//     process's memory readable.
 //
 // Multiprocessor model: scheduling state is sharded per CPU. Each process
 // is pinned to the run queue of one CPU at creation (round-robin by PID),
@@ -72,12 +78,18 @@ class Kernel {
 
   // Runs every CPU's shard sequentially (deterministic least-advanced-CPU
   // interleaving) until all work is done or every CPU reaches `max_cycles`.
-  void Run(uint64_t max_cycles = ~0ull);
+  // Returns true once every run queue is empty.
+  bool Run(uint64_t max_cycles = ~0ull);
 
   // Runs one CPU's shard until it has no runnable process or the CPU clock
   // reaches `max_cycles`. Returns true once the shard is fully done.
   // Safe to call concurrently for distinct `cpu_index` values.
   bool RunCpuShard(uint32_t cpu_index, uint64_t max_cycles = ~0ull);
+
+  // Releases the address space of every process that ended on
+  // `cpu_index` since the last call. Call it from the thread that runs
+  // that CPU's shard, or while no shard is running.
+  void ReleaseExited(uint32_t cpu_index);
 
   std::vector<LoaderEvent> DrainLoaderEvents();
 
@@ -112,6 +124,7 @@ class Kernel {
   std::vector<std::unique_ptr<Cpu>> cpus_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::deque<Process*>> run_queues_;  // one shard per CPU
+  std::vector<std::vector<Process*>> exited_;     // per CPU, not yet released
   // The loader-event queue is the only cross-CPU kernel state: shard
   // threads append exit events, the simulation loop drains. The lock is a
   // leaf on the kernel side — nothing else is ever acquired under it.

@@ -9,7 +9,9 @@
 #ifndef SRC_MEMORY_MEMORY_SYSTEM_H_
 #define SRC_MEMORY_MEMORY_SYSTEM_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <unordered_map>
 
@@ -57,11 +59,19 @@ class PageMapper {
     return memo.ppage * kPageBytes + vaddr % kPageBytes;
   }
 
+  // Forgets every translation and frees the map's storage, once the
+  // owning process has exited and will never translate again.
+  void Release() {
+    std::unordered_map<uint64_t, uint64_t>().swap(map_);
+    std::fill(std::begin(memo_), std::end(memo_), Memo());
+  }
+
  private:
   // Direct-mapped cache of recent translations. A memo entry only ever
   // holds a pair already in map_, which never changes once assigned, so a
   // hit returns what the map would; misses take the map path, keeping the
-  // first-touch order of colouring draws.
+  // first-touch order of colouring draws. Release clears map and memo
+  // together.
   struct Memo {
     uint64_t vpage = ~0ull;  // no page number: vaddr / kPageBytes < 2^51
     uint64_t ppage = 0;

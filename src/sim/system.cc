@@ -91,20 +91,17 @@ void System::RunSequential(uint64_t max_cycles) {
   uint64_t next_drain = kernel_->ElapsedCycles() + config_.daemon_drain_interval;
   while (true) {
     uint64_t chunk_end = std::min(max_cycles, next_drain);
-    kernel_->Run(chunk_end);
+    bool all_done = kernel_->Run(chunk_end);
+    for (uint32_t cpu = 0; cpu < kernel_->num_cpus(); ++cpu) kernel_->ReleaseExited(cpu);
+    // Drain the chunk's samples before processing its loader events:
+    // loads only happen before Run (at process creation), so mid-run
+    // events are exits, and counting the chunk's samples first lets an
+    // exit schedule the epoch roll it should.
+    if (driver_ != nullptr) driver_->FlushAll();
+    ConsumeLoaderEvents();
     if (daemon_ != nullptr) {
-      // Drain the chunk's samples before processing its loader events:
-      // loads only happen before Run (at process creation), so mid-run
-      // events are exits, and counting the chunk's samples first lets an
-      // exit schedule the epoch roll it should.
-      driver_->FlushAll();
-      daemon_->ProcessLoaderEvents(kernel_->DrainLoaderEvents());
       Status ticked = daemon_->TickAtQuiescePoint(kernel_->ElapsedCycles());
       (void)ticked;  // roll/flush failures surface at the final flush
-    }
-    bool all_done = true;
-    for (const auto& p : kernel_->processes()) {
-      if (p->state() != ProcessState::kDone) all_done = false;
     }
     if (all_done || kernel_->ElapsedCycles() >= max_cycles) break;
     next_drain += config_.daemon_drain_interval;
@@ -119,6 +116,9 @@ void System::CpuWorker(uint32_t cpu, uint64_t max_cycles) {
   while (true) {
     uint64_t chunk_end = std::min(max_cycles, next_drain);
     bool done = kernel_->RunCpuShard(cpu, chunk_end);
+    // Only this thread runs this CPU's shard, and a process never leaves
+    // its shard, so the release needs no lock.
+    kernel_->ReleaseExited(cpu);
     // The periodic flush is driven by this CPU's own simulated clock, not
     // by the drain thread's host clock, so what the daemon sees — and the
     // hash table's hit/miss (and therefore timing) behaviour — does not
@@ -134,12 +134,7 @@ void System::CpuWorker(uint32_t cpu, uint64_t max_cycles) {
 }
 
 void System::RunThreaded(uint64_t max_cycles) {
-  if (daemon_ != nullptr) {
-    // Load maps first: every image mapping was emitted at process-creation
-    // time, so samples drained concurrently can always be attributed.
-    daemon_->ProcessLoaderEvents(kernel_->DrainLoaderEvents());
-    daemon_->StartDrainThread();
-  }
+  if (daemon_ != nullptr) daemon_->StartDrainThread();
   std::vector<std::thread> workers;
   workers.reserve(kernel_->num_cpus());
   for (uint32_t cpu = 0; cpu < kernel_->num_cpus(); ++cpu) {
@@ -170,21 +165,26 @@ SystemResult System::BuildResult() {
   return result;
 }
 
+void System::ConsumeLoaderEvents() {
+  std::vector<LoaderEvent> events = kernel_->DrainLoaderEvents();
+  if (daemon_ != nullptr) daemon_->ProcessLoaderEvents(std::move(events));
+}
+
 SystemResult System::Run(uint64_t max_cycles) {
   // Load maps first (all images were mapped at process-creation time), so
-  // the first drained sample of the segment can always be attributed.
-  if (daemon_ != nullptr) {
-    daemon_->ProcessLoaderEvents(kernel_->DrainLoaderEvents());
-  }
+  // the first drained sample of the segment — including those the
+  // threaded path's drain thread takes concurrently — can always be
+  // attributed.
+  ConsumeLoaderEvents();
   const bool threaded = config_.threaded_collection && config_.kernel.num_cpus > 1;
   if (threaded) {
     RunThreaded(max_cycles);
   } else {
     RunSequential(max_cycles);
   }
+  ConsumeLoaderEvents();
   Status flushed = Status::Ok();
   if (daemon_ != nullptr) {
-    daemon_->ProcessLoaderEvents(kernel_->DrainLoaderEvents());
     // End of segment = quiesce point: execute any roll the segment's map
     // changes scheduled, and any timed flush that came due.
     Status ticked = daemon_->TickAtQuiescePoint(kernel_->ElapsedCycles());
@@ -198,7 +198,7 @@ SystemResult System::Run(uint64_t max_cycles) {
 
 Status System::RollEpoch() {
   if (daemon_ == nullptr) return Status::Ok();
-  daemon_->ProcessLoaderEvents(kernel_->DrainLoaderEvents());
+  ConsumeLoaderEvents();
   return daemon_->RollEpoch(kernel_->ElapsedCycles());
 }
 

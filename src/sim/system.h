@@ -122,6 +122,10 @@ class System {
   // Per-CPU worker body: advance the CPU's shard in drain-interval chunks,
   // flushing the driver's per-CPU slot at deterministic simulated times.
   void CpuWorker(uint32_t cpu, uint64_t max_cycles);
+  // Hands the kernel's pending loader events to the daemon. Without one
+  // they are dropped, so a base-mode System holds none across quiesce
+  // points.
+  void ConsumeLoaderEvents();
   SystemResult BuildResult();
 
   SystemConfig config_;
