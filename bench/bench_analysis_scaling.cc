@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
     }
     workload.processes.push_back({name, {image.value()}, "main"});
   }
-  RunSpec spec;
+  SystemConfig spec;
   spec.mode = ProfilingMode::kDefault;  // CYCLES + event profiles
   spec.period_scale = 1.0 / 16;
   spec.free_profiling = true;

@@ -32,8 +32,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/profiledb/database.h"
-#include "src/sim/system.h"
+#include "src/workloads/session.h"
 #include "src/workloads/workloads.h"
 
 using namespace dcpi;
@@ -48,17 +47,13 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 
 struct ContinuousRun {
   double wall_ms = 0;
-  std::vector<double> roll_ms;  // one entry per epoch roll
-  uint64_t samples = 0;
-  size_t sealed_epochs = 0;
+  SessionResult session;
 };
 
-// Runs `segments` fresh instantiations of the workload. With rolls
-// enabled, the epoch is rolled (timed) between segments; the flush
-// interval drives periodic mid-run flushes in both cases where set.
-ContinuousRun RunSegmented(const Workload& workload, const std::string& db_root,
-                           int segments, bool continuous) {
-  Workload instance = workload;
+// One session over `segments` fresh instantiations of the workload. The
+// continuous one flushes periodically and rolls (timed) between segments.
+ContinuousRun Collect(const Workload& workload, const std::string& db_root,
+                      uint32_t segments, bool continuous) {
   SystemConfig config;
   config.kernel.num_cpus = 1;
   config.mode = ProfilingMode::kCycles;
@@ -67,42 +62,19 @@ ContinuousRun RunSegmented(const Workload& workload, const std::string& db_root,
   if (continuous) {
     config.daemon_flush_interval = config.daemon_drain_interval / 4;
   }
+  SessionPlan plan;
+  plan.segments = segments;
+  plan.roll_between_segments = continuous;
   System system(config);
 
   ContinuousRun run;
   auto start = std::chrono::steady_clock::now();
-  for (int segment = 0; segment < segments; ++segment) {
-    Status status = instance.Instantiate(&system);
-    if (!status.ok()) {
-      std::fprintf(stderr, "FATAL: instantiate failed: %s\n",
-                   status.ToString().c_str());
-      std::exit(1);
-    }
-    SystemResult result = system.Run();
-    if (result.had_error) {
-      std::fprintf(stderr, "FATAL: workload had a process error\n");
-      std::exit(1);
-    }
-    run.samples = result.samples[static_cast<int>(EventType::kCycles)];
-    if (continuous && segment + 1 < segments) {
-      auto roll_start = std::chrono::steady_clock::now();
-      Status rolled = system.RollEpoch();
-      run.roll_ms.push_back(MsSince(roll_start));
-      if (!rolled.ok()) {
-        std::fprintf(stderr, "FATAL: roll failed: %s\n",
-                     rolled.ToString().c_str());
-        std::exit(1);
-      }
-    }
-  }
-  Status sealed = system.SealCurrentEpoch();
-  if (!sealed.ok()) {
-    std::fprintf(stderr, "FATAL: seal failed: %s\n", sealed.ToString().c_str());
+  run.session = RunSession(&system, workload, plan);
+  run.wall_ms = MsSince(start);
+  if (!run.session.status.ok()) {
+    std::fprintf(stderr, "FATAL: %s\n", run.session.status.ToString().c_str());
     std::exit(1);
   }
-  run.wall_ms = MsSince(start);
-  ProfileDatabase db(db_root, DbOpenMode::kReadOnly);
-  run.sealed_epochs = db.ListSealedEpochs().size();
   return run;
 }
 
@@ -121,43 +93,45 @@ int main(int argc, char** argv) {
 
   const bench::BenchDir dir;
   const std::string& root = dir.path();
-  const int segments = smoke ? 3 : 8;
+  const uint32_t segments = smoke ? 3 : 8;
   WorkloadFactory factory(/*scale=*/smoke ? 0.25 : 1.0);
   Workload workload = factory.SpecIntLike();
 
-  ContinuousRun batch =
-      RunSegmented(workload, root + "/batch", segments, /*continuous=*/false);
-  ContinuousRun cont =
-      RunSegmented(workload, root + "/cont", segments, /*continuous=*/true);
+  ContinuousRun batch = Collect(workload, root + "/batch", segments, /*continuous=*/false);
+  ContinuousRun cont = Collect(workload, root + "/cont", segments, /*continuous=*/true);
+  const std::vector<double>& roll_ms = cont.session.roll_ms;
+  const uint64_t samples =
+      cont.session.result.samples[static_cast<int>(EventType::kCycles)];
 
   // Identical simulations: continuous collection must not change what was
   // collected, only when it reached disk.
-  if (cont.samples != batch.samples) {
+  const uint64_t batch_samples =
+      batch.session.result.samples[static_cast<int>(EventType::kCycles)];
+  if (samples != batch_samples) {
     std::fprintf(stderr, "FATAL: sample totals diverged (%llu vs %llu)\n",
-                 static_cast<unsigned long long>(cont.samples),
-                 static_cast<unsigned long long>(batch.samples));
+                 static_cast<unsigned long long>(samples),
+                 static_cast<unsigned long long>(batch_samples));
     return 1;
   }
-  if (cont.sealed_epochs != static_cast<size_t>(segments) ||
-      batch.sealed_epochs != 1) {
+  if (cont.session.sealed != segments || batch.session.sealed != 1) {
     std::fprintf(stderr, "FATAL: unexpected epoch layout (%zu vs %zu)\n",
-                 cont.sealed_epochs, batch.sealed_epochs);
+                 cont.session.sealed, batch.session.sealed);
     return 1;
   }
 
   double roll_mean = 0, roll_max = 0;
-  for (double ms : cont.roll_ms) {
+  for (double ms : roll_ms) {
     roll_mean += ms;
     if (ms > roll_max) roll_max = ms;
   }
-  if (!cont.roll_ms.empty()) roll_mean /= static_cast<double>(cont.roll_ms.size());
+  if (!roll_ms.empty()) roll_mean /= static_cast<double>(roll_ms.size());
   const double overhead = batch.wall_ms > 0 ? cont.wall_ms / batch.wall_ms : 0;
 
-  std::printf("continuous collection vs batch (%d segments, %zu rolls)\n",
-              segments, cont.roll_ms.size());
+  std::printf("continuous collection vs batch (%u segments, %zu rolls)\n",
+              segments, roll_ms.size());
   std::printf("  batch wall:       %8.1f ms (1 sealed epoch)\n", batch.wall_ms);
   std::printf("  continuous wall:  %8.1f ms (%zu sealed epochs)\n",
-              cont.wall_ms, cont.sealed_epochs);
+              cont.wall_ms, cont.session.sealed);
   std::printf("  steady-state overhead: %.2fx\n", overhead);
   std::printf("  epoch roll latency: mean %.3f ms, max %.3f ms\n", roll_mean,
               roll_max);
@@ -177,14 +151,14 @@ int main(int argc, char** argv) {
        << "  \"bench\": \"continuous\",\n"
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
        << "  \"segments\": " << segments << ",\n"
-       << "  \"samples\": " << cont.samples << ",\n"
+       << "  \"samples\": " << samples << ",\n"
        << "  \"batch_wall_ms\": " << batch.wall_ms << ",\n"
        << "  \"continuous_wall_ms\": " << cont.wall_ms << ",\n"
        << "  \"steady_state_overhead\": " << overhead << ",\n"
-       << "  \"epoch_rolls\": " << cont.roll_ms.size() << ",\n"
+       << "  \"epoch_rolls\": " << roll_ms.size() << ",\n"
        << "  \"roll_latency_mean_ms\": " << roll_mean << ",\n"
        << "  \"roll_latency_max_ms\": " << roll_max << ",\n"
-       << "  \"sealed_epochs\": " << cont.sealed_epochs << ",\n"
+       << "  \"sealed_epochs\": " << cont.session.sealed << ",\n"
        << "  \"gate_passed\": " << (ok ? "true" : "false") << "\n"
        << "}\n";
   return ok ? 0 : 1;

@@ -33,7 +33,7 @@ int main() {
   suite.push_back(factory.GccLike(4));
 
   for (Workload& workload : suite) {
-    RunSpec spec;
+    SystemConfig spec;
     spec.mode = ProfilingMode::kDefault;  // IMISS monitored
     spec.period_scale = 1.0 / 16;
     spec.free_profiling = true;

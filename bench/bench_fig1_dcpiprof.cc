@@ -21,7 +21,7 @@ int main() {
 
   WorkloadFactory factory(/*scale=*/1.0);
   Workload workload = factory.X11PerfLike();
-  RunSpec spec;
+  SystemConfig spec;
   spec.mode = ProfilingMode::kDefault;  // CYCLES + IMISS, as in the figure
   spec.period_scale = 1.0 / 16;
   spec.free_profiling = true;

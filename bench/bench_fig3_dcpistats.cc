@@ -26,11 +26,11 @@ int main() {
   for (int run = 0; run < kRuns; ++run) {
     WorkloadFactory factory(/*scale=*/0.5, /*seed=*/run + 1);
     Workload workload = factory.SpecFpLike();
-    RunSpec spec;
+    SystemConfig spec;
     spec.mode = ProfilingMode::kCycles;
     spec.period_scale = 1.0 / 16;
     spec.free_profiling = true;
-    spec.kernel_seed = static_cast<uint64_t>(run + 1) * 104729;
+    spec.kernel.seed = static_cast<uint64_t>(run + 1) * 104729;
     spec.rng_seed = static_cast<uint32_t>(run + 1);
     RunOutput out = RunProfiled(workload, spec);
     sets.push_back(SamplesByProcedure(*out.system));

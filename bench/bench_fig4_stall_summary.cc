@@ -21,7 +21,7 @@ int main() {
 
   WorkloadFactory factory(/*scale=*/1.0);
   Workload workload = factory.SpecFpLike();
-  RunSpec spec;
+  SystemConfig spec;
   spec.mode = ProfilingMode::kDefault;  // IMISS samples bound the I-cache rows
   spec.period_scale = 1.0 / 16;
     spec.free_profiling = true;

@@ -54,9 +54,9 @@ int main() {
     for (int m = 0; m < 4; ++m) {
       for (int r = 0; r < kRuns; ++r) {
         Workload workload = Make(kTargets[t], static_cast<uint64_t>(r + 1));
-        RunSpec spec;
+        SystemConfig spec;
         spec.mode = kModes[m];
-        spec.kernel_seed = static_cast<uint64_t>(r + 1) * 7919;
+        spec.kernel.seed = static_cast<uint64_t>(r + 1) * 7919;
         spec.rng_seed = static_cast<uint32_t>(r + 1);
         RunOutput out = RunProfiled(workload, spec);
         double cycles = static_cast<double>(out.result.busy_cycles_with_daemon);

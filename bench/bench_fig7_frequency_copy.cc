@@ -20,7 +20,7 @@ int main() {
 
   WorkloadFactory factory(/*scale=*/1.0);
   Workload workload = factory.McCalpin(StreamKernel::kCopy);
-  RunSpec spec;
+  SystemConfig spec;
   spec.mode = ProfilingMode::kCycles;
   spec.period_scale = 1.0 / 16;
   spec.free_profiling = true;

@@ -23,7 +23,7 @@ int main() {
 
   AccuracyCollector collector;
   for (Workload& workload : AccuracySuite(/*scale=*/0.5, /*seed=*/1)) {
-    RunSpec spec;
+    SystemConfig spec;
     spec.mode = ProfilingMode::kDefault;
     spec.period_scale = 1.0 / 16;
     spec.free_profiling = true;

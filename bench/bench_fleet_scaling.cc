@@ -24,19 +24,19 @@
 // Emits machine-readable BENCH_fleet.json in the working directory.
 // --smoke shrinks the run to seconds-scale (CI / sanitizer jobs).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/analysis/engine.h"
 #include "src/profiledb/fleet.h"
-#include "src/sim/system.h"
+#include "src/workloads/session.h"
 #include "src/workloads/workloads.h"
 
 using namespace dcpi;
@@ -49,55 +49,8 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-struct HostRun {
-  uint64_t db_bytes_written = 0;
-  uint64_t samples = 0;
-  bool failed = false;
-  std::vector<std::shared_ptr<const ExecutableImage>> images;
-};
-
-// One host's collection pipeline: `segments` sealed epochs of the workload
-// with continuous-operation flushing, written to its own shard.
-HostRun RunHost(const Workload& workload, const std::string& db_root,
-                int segments, uint32_t seed) {
-  Workload instance = workload;
-  SystemConfig config;
-  config.kernel.num_cpus = 1;
-  config.mode = ProfilingMode::kCycles;
-  config.period_scale = 1.0 / 16;
-  config.db_root = db_root;
-  config.rng_seed = seed;
-  config.daemon_flush_interval = config.daemon_drain_interval / 4;
-  System system(config);
-
-  HostRun run;
-  for (int segment = 0; segment < segments; ++segment) {
-    Status status = instance.Instantiate(&system);
-    if (!status.ok()) {
-      run.failed = true;
-      return run;
-    }
-    SystemResult result = system.Run();
-    if (result.had_error) {
-      run.failed = true;
-      return run;
-    }
-    run.samples += result.samples[static_cast<int>(EventType::kCycles)];
-    run.db_bytes_written = result.daemon.db_bytes_written;
-    if (segment + 1 < segments && !system.RollEpoch().ok()) {
-      run.failed = true;
-      return run;
-    }
-  }
-  if (!system.SealCurrentEpoch().ok()) run.failed = true;
-  for (const ImageTruth& truth : system.kernel().ground_truth().images()) {
-    run.images.push_back(truth.image);
-  }
-  return run;
-}
-
-struct FleetResult {
-  int hosts = 0;
+struct FleetPoint {
+  uint32_t hosts = 0;
   double collect_wall_ms = 0;
   uint64_t total_bytes = 0;
   double ingest_bytes_s = 0;
@@ -108,31 +61,31 @@ struct FleetResult {
   bool gate_ok = false;
 };
 
-FleetResult RunFleet(int hosts, int segments, const Workload& workload,
-                     const std::string& root) {
+// Collects `segments` sealed epochs per host on `hosts` concurrent host
+// threads, then analyzes every shard cold and warm.
+FleetPoint MeasureFleet(uint32_t hosts, uint32_t segments, const Workload& workload,
+                        const std::string& root, const std::string& images_dir) {
   std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
+  SystemConfig system_config;
+  system_config.kernel.num_cpus = 1;
+  system_config.mode = ProfilingMode::kCycles;
+  system_config.period_scale = 1.0 / 16;
+  system_config.db_root = root;
+  system_config.daemon_flush_interval = system_config.daemon_drain_interval / 4;
+  SessionPlan plan;
+  plan.segments = segments;
+  plan.roll_between_segments = true;
+  plan.images_dir = images_dir;
 
-  // Collection: N concurrent hosts, one shard each.
-  std::vector<HostRun> runs(hosts);
   auto collect_start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(hosts);
-  for (int h = 0; h < hosts; ++h) {
-    threads.emplace_back([&, h] {
-      runs[h] = RunHost(workload, root + "/host_" + std::to_string(h), segments,
-                        static_cast<uint32_t>(1 + h));
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  FleetResult result;
+  FleetResult fleet_run = RunFleet(system_config, workload, plan, hosts, /*compact=*/false);
+  FleetPoint result;
   result.hosts = hosts;
   result.collect_wall_ms = MsSince(collect_start);
   bool ok = true;
-  for (const HostRun& run : runs) {
-    ok = ok && !run.failed;
-    result.total_bytes += run.db_bytes_written;
+  for (const SessionResult& host : fleet_run.hosts) {
+    ok = ok && host.status.ok();
+    result.total_bytes += host.result.daemon.db_bytes_written;
   }
   result.ingest_bytes_s =
       result.collect_wall_ms > 0
@@ -140,20 +93,33 @@ FleetResult RunFleet(int hosts, int segments, const Workload& workload,
                 (result.collect_wall_ms / 1000.0)
           : 0;
 
+  // Host 0 saved the image set; every shard is analyzed against it, as
+  // the --fleet tools read it.
+  std::vector<std::string> image_paths;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(images_dir, ec)) {
+    image_paths.push_back(entry.path().string());
+  }
+  std::sort(image_paths.begin(), image_paths.end());
+  Result<std::vector<std::shared_ptr<ExecutableImage>>> loaded =
+      LoadImageSet(image_paths, /*jobs=*/0);
+  ok = ok && loaded.ok();
+  std::vector<std::shared_ptr<const ExecutableImage>> images;
+  if (loaded.ok()) images.assign(loaded.value().begin(), loaded.value().end());
+
   // Analysis: every shard, cold caches then warm. The fleet view opens the
   // shards read-only the way the --fleet tools do.
   FleetView fleet(root);
-  ok = ok && fleet.num_hosts() == static_cast<size_t>(hosts);
+  ok = ok && fleet.num_hosts() == hosts;
   AnalysisConfig config;
   for (int pass = 0; pass < 2; ++pass) {
     uint64_t hits = 0, misses = 0;
     auto pass_start = std::chrono::steady_clock::now();
     for (size_t h = 0; h < fleet.num_hosts(); ++h) {
       const ProfileDatabase& shard = fleet.host(h);
-      ok = ok && shard.ListSealedEpochs().size() == static_cast<size_t>(segments);
+      ok = ok && shard.ListSealedEpochs().size() == segments;
       AnalysisEngine engine;
-      DatabaseAnalysis analysis =
-          engine.AnalyzeDatabase(shard, runs[h].images, config);
+      DatabaseAnalysis analysis = engine.AnalyzeDatabase(shard, images, config);
       hits += analysis.cache_hits;
       misses += analysis.cache_misses;
       ok = ok && !analysis.merged.empty();
@@ -189,20 +155,21 @@ int main(int argc, char** argv) {
 
   const bench::BenchDir dir;
   const std::string root = dir.path() + "/fleet";
-  const int segments = smoke ? 2 : 3;
-  const std::vector<int> fleet_sizes = smoke ? std::vector<int>{1, 2}
-                                             : std::vector<int>{1, 4, 8};
+  const std::string images_dir = dir.path() + "/images";
+  const uint32_t segments = smoke ? 2 : 3;
+  const std::vector<uint32_t> fleet_sizes = smoke ? std::vector<uint32_t>{1, 2}
+                                                  : std::vector<uint32_t>{1, 4, 8};
   WorkloadFactory factory(/*scale=*/smoke ? 0.25 : 0.5);
   Workload workload = factory.SpecIntLike();
 
-  std::vector<FleetResult> results;
+  std::vector<FleetPoint> results;
   bool ok = true;
-  std::printf("fleet scaling (%d sealed epoch(s) per host)\n", segments);
-  for (int hosts : fleet_sizes) {
-    FleetResult r = RunFleet(hosts, segments, workload, root);
+  std::printf("fleet scaling (%u sealed epoch(s) per host)\n", segments);
+  for (uint32_t hosts : fleet_sizes) {
+    FleetPoint r = MeasureFleet(hosts, segments, workload, root, images_dir);
     ok = ok && r.gate_ok;
     std::printf(
-        "  N=%d: ingest %7.2f KiB/s (%llu bytes in %7.1f ms), analysis cold "
+        "  N=%u: ingest %7.2f KiB/s (%llu bytes in %7.1f ms), analysis cold "
         "%7.1f ms, warm %7.1f ms (%llu hit(s), %llu miss(es)) %s\n",
         r.hosts, r.ingest_bytes_s / 1024.0,
         static_cast<unsigned long long>(r.total_bytes), r.collect_wall_ms,
@@ -222,7 +189,7 @@ int main(int argc, char** argv) {
        << "  \"segments_per_host\": " << segments << ",\n"
        << "  \"fleets\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
-    const FleetResult& r = results[i];
+    const FleetPoint& r = results[i];
     json << "    {\"hosts\": " << r.hosts
          << ", \"ingest_bytes_s\": " << r.ingest_bytes_s
          << ", \"db_bytes_written\": " << r.total_bytes

@@ -49,7 +49,7 @@ struct SweepPoint {
 
 SweepPoint RunPoint(double scale, double fraction, const std::string& db_root) {
   WorkloadFactory factory(scale, /*seed=*/1);
-  RunSpec spec;
+  SystemConfig spec;
   spec.mode = ProfilingMode::kDefault;
   spec.period_scale = 1.0 / 16;
   spec.mem_fraction = fraction;
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
 
   // --- Gate 3: the axis detects the planted false sharing ---
   WorkloadFactory fs_factory(smoke ? 0.25 : 0.5, /*seed=*/1);
-  RunSpec fs_spec;
+  SystemConfig fs_spec;
   fs_spec.mode = ProfilingMode::kDefault;
   fs_spec.period_scale = 1.0 / 16;
   fs_spec.mem_fraction = 0.25;

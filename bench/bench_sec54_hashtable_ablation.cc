@@ -70,18 +70,14 @@ int main() {
     Workload x11 = x11_factory.X11PerfLike();
     for (Workload* workload : {&flat, &x11}) {
       SystemConfig config;
-      config.kernel.num_cpus = std::max(1u, workload->num_cpus);
       config.mode = ProfilingMode::kCycles;
       config.period_scale = 1.0 / 512;
       // Trace recording only needs the sample *keys*; charging handler cost
       // at this density would make the machine do nothing but interrupts.
       config.free_profiling = true;
       config.driver.record_trace = true;
-      System system(config);
-      Status status = workload->Instantiate(&system);
-      if (!status.ok()) return 1;
-      system.Run();
-      const std::vector<SampleKey> t = system.driver()->Trace();
+      const std::vector<SampleKey> t =
+          RunProfiled(*workload, config).system->driver()->Trace();
       trace.insert(trace.end(), t.begin(), t.end());
     }
   }

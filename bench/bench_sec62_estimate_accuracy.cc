@@ -29,7 +29,7 @@ int main() {
     AccuracyCollector collector;
     WorkloadFactory factory(/*scale=*/0.4, /*seed=*/1);
     Workload workload = factory.SpecIntLike();
-    RunSpec spec;
+    SystemConfig spec;
     spec.mode = ProfilingMode::kCycles;
     spec.period_scale = 1.0 / (4.0 * runs);
     spec.free_profiling = true;

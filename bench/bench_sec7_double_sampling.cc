@@ -37,14 +37,12 @@ int main() {
 
   for (Workload& workload : suite) {
     SystemConfig config;
-    config.kernel.num_cpus = std::max(1u, workload.num_cpus);
     config.mode = ProfilingMode::kCycles;
     config.period_scale = 1.0 / 32;
     config.free_profiling = true;
     config.double_sampling = true;
-    System system(config);
-    if (!workload.Instantiate(&system).ok()) return 1;
-    if (system.Run().had_error) return 1;
+    RunOutput run = RunProfiled(workload, config);
+    System& system = *run.system;
 
     // Merge edge samples from all CPUs.
     PerfCounters::EdgeSampleMap pairs;

@@ -39,8 +39,8 @@ int main() {
       desc = workload.description;
       cpus = std::max(1u, workload.num_cpus);
       procs = workload.processes.size();
-      RunSpec spec;
-      spec.kernel_seed = static_cast<uint64_t>(r + 1) * 31;
+      SystemConfig spec;
+      spec.kernel.seed = static_cast<uint64_t>(r + 1) * 31;
       RunOutput out = RunProfiled(workload, spec);
       stat.Add(static_cast<double>(out.result.elapsed_cycles));
       instructions = out.result.instructions;

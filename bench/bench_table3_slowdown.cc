@@ -45,8 +45,8 @@ int main() {
     for (int r = 0; r < kRepeats; ++r) {
       Workload workload = MakeWorkload(w, static_cast<uint64_t>(r + 1));
       name = workload.name;
-      RunSpec spec;
-      spec.kernel_seed = static_cast<uint64_t>(r + 1) * 17;
+      SystemConfig spec;
+      spec.kernel.seed = static_cast<uint64_t>(r + 1) * 17;
       RunOutput out = RunProfiled(workload, spec);
       base[r] = static_cast<double>(out.result.elapsed_cycles);
     }
@@ -56,9 +56,9 @@ int main() {
       RunningStat slow;
       for (int r = 0; r < kRepeats; ++r) {
         Workload workload = MakeWorkload(w, static_cast<uint64_t>(r + 1));
-        RunSpec spec;
+        SystemConfig spec;
         spec.mode = mode;  // paper's sampling periods (no scaling)
-        spec.kernel_seed = static_cast<uint64_t>(r + 1) * 17;
+        spec.kernel.seed = static_cast<uint64_t>(r + 1) * 17;
         spec.rng_seed = static_cast<uint32_t>(r + 1);
         RunOutput out = RunProfiled(workload, spec);
         slow.Add(100.0 *

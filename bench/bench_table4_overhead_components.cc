@@ -57,7 +57,7 @@ struct ConfigOutcome {
 
 ConfigOutcome RunOne(const Workload& workload, ProfilingMode mode, bool legacy,
                      double period_scale = 1.0 / 16) {
-  RunSpec spec;
+  SystemConfig spec;
   spec.mode = mode;
   // Denser sampling warms the hash table into its steady state (the
   // paper's week-long runs); the per-sample costs are rate-independent.

@@ -46,7 +46,7 @@ int main() {
     for (size_t w = 0; w < num_workloads; ++w) {
       WorkloadFactory factory(/*scale=*/0.2, /*seed=*/1);
       Workload workload = factory.Table2Suite()[w];
-      RunSpec spec;
+      SystemConfig spec;
       spec.mode = mode;
       spec.period_scale = 1.0 / 4;  // denser sampling: short runs, real files
       spec.db_root = db_root;

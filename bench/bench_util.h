@@ -5,6 +5,7 @@
 
 #include <stdlib.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -18,42 +19,16 @@
 namespace dcpi {
 namespace bench {
 
-struct RunSpec {
-  ProfilingMode mode = ProfilingMode::kBase;
-  double period_scale = 1.0;  // 1.0 = the paper's 60K-64K CYCLES period
-  // Analysis benches densify sampling to emulate long runs; they zero the
-  // handler cost so the denser interrupts do not distort the timing they
-  // are trying to measure (see SystemConfig::free_profiling).
-  bool free_profiling = false;
-  uint32_t num_cpus = 0;      // 0 = workload default
-  uint64_t kernel_seed = 1;
-  uint32_t rng_seed = 1;
-  std::string db_root;
-  // Driver configuration, so the before/after benches can pit the shipped
-  // Section 5.4 hash table against the 1997 baseline
-  // (HashTableConfig::Legacy()).
-  DriverConfig driver;
-  double mem_fraction = 0.0;  // fraction of samples taken as wide records
-};
-
 struct RunOutput {
   std::unique_ptr<System> system;
   SystemResult result;
 };
 
-inline RunOutput RunProfiled(const Workload& workload, const RunSpec& spec) {
+// Runs the workload to completion on a System built from `config`, sized
+// to the workload's CPU count; exits the bench on any failure.
+inline RunOutput RunProfiled(const Workload& workload, SystemConfig config) {
   RunOutput output;
-  SystemConfig config;
-  config.kernel.num_cpus = spec.num_cpus != 0 ? spec.num_cpus
-                                              : std::max(1u, workload.num_cpus);
-  config.kernel.seed = spec.kernel_seed;
-  config.mode = spec.mode;
-  config.period_scale = spec.period_scale;
-  config.free_profiling = spec.free_profiling;
-  config.rng_seed = spec.rng_seed;
-  config.db_root = spec.db_root;
-  config.driver = spec.driver;
-  config.mem_fraction = spec.mem_fraction;
+  config.kernel.num_cpus = std::max(1u, workload.num_cpus);
   output.system = std::make_unique<System>(config);
   Status status = workload.Instantiate(output.system.get());
   if (!status.ok()) {

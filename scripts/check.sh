@@ -24,8 +24,10 @@
 #   suites are slow on small hosts). Both filters include ProcessRelease:
 #   under TSan an exited process's address space is released on the
 #   per-CPU worker threads, and under ASan a memo left pointing into a
-#   released page would be a use-after-free. No bench smoke gates on RSS:
-#   ASan's quarantine keeps freed memory resident.
+#   released page would be a use-after-free. Both also include Session:
+#   its fleet case runs the host threads and the background compactor at
+#   once, the handoff src/workloads/session.cc documents. No bench smoke
+#   gates on RSS: ASan's quarantine keeps freed memory resident.
 #   --lint additionally runs clang-tidy (config in .clang-tidy) over the
 #   compile-commands database. Skipped with a notice when clang-tidy is not
 #   installed, so the gate stays usable on minimal containers.
@@ -155,7 +157,7 @@ run_config() {
 if [[ "$RUN_TSAN" == 1 ]]; then
   TSAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    TSAN_FILTER="DriverConcurrency|MpDeterminism|PipelineIntegration|DcpiDriver|KernelSched|ThreadPool|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|MemorySection|SimGolden|ProcessRelease"
+    TSAN_FILTER="DriverConcurrency|MpDeterminism|PipelineIntegration|DcpiDriver|KernelSched|ThreadPool|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|MemorySection|SimGolden|ProcessRelease|Session"
   fi
   run_config build-tsan "-fsanitize=thread -O1 -g -fno-omit-frame-pointer" "$TSAN_FILTER"
 fi
@@ -163,7 +165,7 @@ fi
 if [[ "$RUN_ASAN" == 1 ]]; then
   ASAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    ASAN_FILTER="ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|CpuTiming|KernelSmoke|Cache|Tlb|WriteBuffer|Isa|SimGolden|ProcessRelease"
+    ASAN_FILTER="ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|CpuTiming|KernelSmoke|Cache|Tlb|WriteBuffer|Isa|SimGolden|ProcessRelease|Session"
   fi
   # -fno-sanitize-recover makes undefined behaviour fail the test that hits
   # it instead of only printing a report.

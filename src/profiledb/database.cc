@@ -413,18 +413,21 @@ bool ProfileDatabase::has_open_epoch() const {
   return have_epoch_;
 }
 
-Result<uint32_t> ProfileDatabase::NewEpoch() {
-  if (mode_ == DbOpenMode::kReadOnly) {
-    return FailedPrecondition("database opened read-only");
-  }
-  MutexLock lock(&mu_);
-  uint32_t epoch = have_epoch_ ? current_epoch_ + 1 : next_epoch_;
+Result<uint32_t> ProfileDatabase::EnterEpoch(uint32_t epoch) {
   std::error_code ec;
   std::filesystem::create_directories(EpochDir(epoch), ec);
   if (ec) return IoError("cannot create epoch dir: " + ec.message());
   current_epoch_ = epoch;
   have_epoch_ = true;
   return epoch;
+}
+
+Result<uint32_t> ProfileDatabase::NewEpoch() {
+  if (mode_ == DbOpenMode::kReadOnly) {
+    return FailedPrecondition("database opened read-only");
+  }
+  MutexLock lock(&mu_);
+  return EnterEpoch(have_epoch_ ? current_epoch_ + 1 : next_epoch_);
 }
 
 Result<uint32_t> ProfileDatabase::OpenEpoch(uint32_t epoch) {
@@ -436,12 +439,7 @@ Result<uint32_t> ProfileDatabase::OpenEpoch(uint32_t epoch) {
                               " is sealed and immutable");
   }
   MutexLock lock(&mu_);
-  std::error_code ec;
-  std::filesystem::create_directories(EpochDir(epoch), ec);
-  if (ec) return IoError("cannot create epoch dir: " + ec.message());
-  current_epoch_ = epoch;
-  have_epoch_ = true;
-  return epoch;
+  return EnterEpoch(epoch);
 }
 
 Status ProfileDatabase::ReplaceProfile(const ImageProfile& profile) {
@@ -449,14 +447,7 @@ Status ProfileDatabase::ReplaceProfile(const ImageProfile& profile) {
     return FailedPrecondition("database opened read-only");
   }
   MutexLock lock(&mu_);
-  if (!have_epoch_) {
-    uint32_t epoch = next_epoch_;
-    std::error_code ec;
-    std::filesystem::create_directories(EpochDir(epoch), ec);
-    if (ec) return IoError("cannot create epoch dir: " + ec.message());
-    current_epoch_ = epoch;
-    have_epoch_ = true;
-  }
+  if (!have_epoch_) DCPI_RETURN_IF_ERROR(EnterEpoch(next_epoch_).status());
   std::string path = EpochDir(current_epoch_) + "/" +
                      ProfileFileName(profile.image_name(), profile.event());
   std::vector<uint8_t> serialized = SerializeProfile(profile);

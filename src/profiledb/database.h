@@ -171,6 +171,8 @@ class ProfileDatabase {
  private:
   std::string EpochDir(uint32_t epoch) const;
   std::string SealMarkerPath(uint32_t epoch) const;
+  // Creates `epoch`'s directory and moves the epoch cursor to it.
+  Result<uint32_t> EnterEpoch(uint32_t epoch) REQUIRES(mu_);
   ScanReport ScanAndRecover() const;
 
   std::string root_;

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "src/support/binary_io.h"
@@ -13,6 +14,8 @@
 namespace dcpi {
 
 namespace {
+
+constexpr std::string_view kHostDirPrefix = "host_";
 
 // host_<id> directory names under `root`, sorted by numeric id (so host_2
 // precedes host_10 — lexicographic order would interleave the fleet).
@@ -25,7 +28,7 @@ std::vector<std::string> ListHostDirs(const std::string& root) {
     if (!entry.is_directory()) continue;
     std::string name = entry.path().filename().string();
     uint32_t id = 0;
-    if (ParseNumberedName(name, "host_", &id)) hosts.emplace_back(id, std::move(name));
+    if (ParseNumberedName(name, kHostDirPrefix, &id)) hosts.emplace_back(id, std::move(name));
   }
   std::sort(hosts.begin(), hosts.end());
   std::vector<std::string> names;
@@ -35,6 +38,10 @@ std::vector<std::string> ListHostDirs(const std::string& root) {
 }
 
 }  // namespace
+
+std::string FleetHostDir(uint32_t id) {
+  return std::string(kHostDirPrefix) + std::to_string(id);
+}
 
 FleetView::FleetView(std::string fleet_root) : root_(std::move(fleet_root)) {
   host_names_ = ListHostDirs(root_);

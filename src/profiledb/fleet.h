@@ -37,6 +37,11 @@
 
 namespace dcpi {
 
+// The directory name of host `id`'s shard under a fleet root, "host_<id>":
+// the one spelling FleetView counts (ParseNumberedName), so a padded
+// "host_01" is never a shard.
+std::string FleetHostDir(uint32_t id);
+
 class FleetView {
  public:
   // Opens every host_<id> shard under `fleet_root` read-only, in ascending

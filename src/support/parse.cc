@@ -1,6 +1,7 @@
 #include "src/support/parse.h"
 
 #include <charconv>
+#include <cmath>
 #include <string>
 
 namespace dcpi {
@@ -10,6 +11,15 @@ bool ParseUint32(std::string_view text, uint32_t* out) {
   const char* end = text.data() + text.size();
   auto [stop, error] = std::from_chars(text.data(), end, value);
   if (error != std::errc() || stop != end) return false;
+  *out = value;
+  return true;
+}
+
+bool ParseDouble(std::string_view text, double* out) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || !std::isfinite(value)) return false;
   *out = value;
   return true;
 }

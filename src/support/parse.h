@@ -15,6 +15,11 @@ namespace dcpi {
 // exits 2 with usage instead of running with a half-parsed number.
 bool ParseUint32(std::string_view text, uint32_t* out);
 
+// The whole of `text` must be one finite decimal floating-point number
+// ("0.25", "1e-3", "-2"): "", "0.25x", " 1", "+1", "inf", "nan" and
+// out-of-range values like "1e999" all fail. Callers check the range.
+bool ParseDouble(std::string_view text, double* out);
+
 // Parses "<prefix><N>" in its one canonical spelling, prefix +
 // std::to_string(N) with N a uint32_t. A padded or overflowing name
 // ("epoch_01", "epoch_4294967297") is not a numbered name, so it can never

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/check/image_lint.h"
 #include "src/isa/assembler.h"
@@ -834,8 +835,16 @@ uint64_t WorkloadFactory::NextBase() {
 }
 
 uint64_t WorkloadFactory::Iters(uint64_t base_count) const {
-  uint64_t scaled = static_cast<uint64_t>(static_cast<double>(base_count) * scale_);
-  return scaled == 0 ? 1 : scaled;
+  const double scaled = static_cast<double>(base_count) * scale_;
+  // Converting a NaN or a double outside [0, 2^64) to uint64_t can be
+  // undefined, so such a scale aborts like a bad image.
+  if (!(scaled >= 0 && scaled < 18446744073709551616.0)) {
+    std::fprintf(stderr, "workload scale %g: %llu base iterations overflow uint64_t\n",
+                 scale_, static_cast<unsigned long long>(base_count));
+    std::abort();
+  }
+  const uint64_t iters = static_cast<uint64_t>(scaled);
+  return iters == 0 ? 1 : iters;
 }
 
 std::shared_ptr<ExecutableImage> WorkloadFactory::Build(const std::string& name,

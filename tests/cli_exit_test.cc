@@ -71,6 +71,14 @@ TEST_F(CliExitTest, UsageErrorsExitTwo) {
   EXPECT_EQ(RunTool("dcpi_sim --mem-fraction 1.5 copy " + root_), 2);
   EXPECT_EQ(RunTool("dcpi_sim --mem-fraction -0.25 copy " + root_), 2);
   EXPECT_EQ(RunTool("dcpi_sim --mem-fraction nope copy " + root_), 2);
+  // Only finite numbers parse: NaN passes no range check, and a scale of
+  // inf would make the workload's iteration count undefined.
+  EXPECT_EQ(RunTool("dcpi_sim --mem-fraction nan copy " + root_), 2);
+  EXPECT_EQ(RunTool("dcpi_sim copy " + root_ + " cycles inf"), 2);
+  EXPECT_EQ(RunTool("dcpi_sim copy " + root_ + " cycles nan"), 2);
+  // A finite scale whose iteration count overflows aborts instead of
+  // silently running one iteration.
+  EXPECT_NE(RunTool("dcpi_sim copy " + root_ + " cycles 1e300"), 0);
 }
 
 TEST_F(CliExitTest, MissingInputsExitOne) {

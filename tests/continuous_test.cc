@@ -21,6 +21,7 @@
 #include "src/profiledb/database.h"
 #include "src/sim/system.h"
 #include "src/tools/dcpiprof.h"
+#include "src/workloads/session.h"
 #include "src/workloads/workloads.h"
 #include "tests/scratch_dir.h"
 
@@ -39,19 +40,11 @@ SystemConfig ContinuousConfig(const std::string& db_root, uint32_t cpus = 1) {
   return config;
 }
 
-// Runs `segments` fresh instantiations of the workload to completion.
-// With roll_on_map_change set, each segment's process exits change the
-// image map and trigger a roll at the following quiesce point.
-SystemResult RunSegments(System* system, Workload* workload, int segments) {
-  SystemResult result;
-  for (int segment = 0; segment < segments; ++segment) {
-    EXPECT_TRUE(workload->Instantiate(system).ok());
-    result = system->Run();
-    EXPECT_FALSE(result.had_error);
-    if (result.had_error) break;
-  }
-  EXPECT_TRUE(system->SealCurrentEpoch().ok());
-  return result;
+// Three fresh instantiations of the workload, each run to completion.
+SessionPlan ThreeSegments() {
+  SessionPlan plan;
+  plan.segments = 3;
+  return plan;
 }
 
 // Per-image CYCLES totals merged across the given epochs.
@@ -72,9 +65,12 @@ TEST(Continuous, MapChangeRollsSealEveryRetiredEpoch) {
   WorkloadFactory factory(/*scale=*/0.25);
   Workload workload = factory.SpecIntLike();
   System system(ContinuousConfig(root + "/db"));
-  SystemResult result = RunSegments(&system, &workload, 3);
+  // Three segments run to completion; each one's process exits change the
+  // image map and trigger a roll at the following quiesce point.
+  SessionResult session = RunSession(&system, workload, ThreeSegments());
+  ASSERT_TRUE(session.status.ok()) << session.status.ToString();
 
-  EXPECT_GE(result.daemon.epoch_rolls, 3u);
+  EXPECT_GE(session.result.daemon.epoch_rolls, 3u);
   ProfileDatabase db(root + "/db", DbOpenMode::kReadOnly);
   std::vector<uint32_t> epochs = db.ListEpochs();
   std::vector<uint32_t> sealed = db.ListSealedEpochs();
@@ -102,7 +98,8 @@ TEST(Continuous, SampleTotalsMatchSegmentedBatch) {
   // Continuous: three segments, epoch rolls between them.
   Workload continuous_workload = factory.SpecIntLike();
   System continuous(ContinuousConfig(root + "/cont"));
-  SystemResult cont_result = RunSegments(&continuous, &continuous_workload, 3);
+  SessionResult cont = RunSession(&continuous, continuous_workload, ThreeSegments());
+  ASSERT_TRUE(cont.status.ok()) << cont.status.ToString();
 
   // Batch baseline: identical segment boundaries, but rolls disabled so
   // all samples land in one epoch. Rolls and flushes cost no simulated
@@ -112,11 +109,12 @@ TEST(Continuous, SampleTotalsMatchSegmentedBatch) {
   batch_config.daemon_flush_interval = 0;
   Workload batch_workload = factory.SpecIntLike();
   System batch(batch_config);
-  SystemResult batch_result = RunSegments(&batch, &batch_workload, 3);
+  SessionResult batch_session = RunSession(&batch, batch_workload, ThreeSegments());
+  ASSERT_TRUE(batch_session.status.ok()) << batch_session.status.ToString();
   // The segmented batch run never rolled, so all of its samples ended up
   // in one sealed epoch.
 
-  EXPECT_EQ(cont_result.elapsed_cycles, batch_result.elapsed_cycles);
+  EXPECT_EQ(cont.result.elapsed_cycles, batch_session.result.elapsed_cycles);
   std::vector<std::string> names;
   for (const ImageTruth& truth : continuous.kernel().ground_truth().images()) {
     names.push_back(truth.image->name());
@@ -244,7 +242,7 @@ TEST(Continuous, WarmReanalysisHitsTheResultCache) {
   WorkloadFactory factory(/*scale=*/0.25);
   Workload workload = factory.SpecIntLike();
   System system(ContinuousConfig(root + "/db"));
-  RunSegments(&system, &workload, 3);
+  ASSERT_TRUE(RunSession(&system, workload, ThreeSegments()).status.ok());
 
   std::vector<std::shared_ptr<const ExecutableImage>> images;
   for (const ImageTruth& truth : system.kernel().ground_truth().images()) {

@@ -65,6 +65,12 @@ struct CacheSweepParam {
   uint32_t assoc;
 };
 
+// Names each case in the test listing ("8192B_32B_1way"); without it gtest
+// prints the struct's bytes, padding included, so names vary by build.
+void PrintTo(const CacheSweepParam& p, std::ostream* os) {
+  *os << p.size << "B_" << p.line << "B_" << p.assoc << "way";
+}
+
 class CacheSweep : public ::testing::TestWithParam<CacheSweepParam> {};
 
 // Property: a working set that fits the cache has no misses after warmup;

@@ -247,6 +247,22 @@ TEST(Parse, Uint32IsStrictAndOverflowChecked) {
   }
 }
 
+TEST(Parse, DoubleIsFiniteAndWholeString) {
+  double value = 0;
+  EXPECT_TRUE(ParseDouble("0.25", &value));
+  EXPECT_EQ(value, 0.25);
+  EXPECT_TRUE(ParseDouble("1e300", &value));  // finite: the caller range-checks
+  EXPECT_EQ(value, 1e300);
+  EXPECT_TRUE(ParseDouble("-2", &value));
+  EXPECT_EQ(value, -2.0);
+  for (const char* bad : {"", "0.25x", " 1", "+1", "inf", "-inf", "infinity", "nan",
+                          "NaN", "1e999", "x"}) {
+    value = 123;
+    EXPECT_FALSE(ParseDouble(bad, &value)) << bad;
+    EXPECT_EQ(value, 123.0) << bad;  // untouched on failure
+  }
+}
+
 TEST(Parse, NumberedNamesAreCanonical) {
   uint32_t value = 0;
   EXPECT_TRUE(ParseNumberedName("epoch_0", "epoch_", &value));
