@@ -31,6 +31,7 @@
 #include "src/check/selfcheck.h"
 #include "src/isa/assembler.h"
 #include "src/profiledb/database.h"
+#include "src/support/parallel_for.h"
 #include "src/support/text_table.h"
 
 using namespace dcpi;
@@ -216,7 +217,7 @@ int main(int argc, char** argv) {
 
   const std::string cache_dir = spec.db_root + "/epoch_" + std::to_string(epoch) +
                                 "/.cache";
-  const int host_threads = ThreadPool::HardwareConcurrency();
+  const int host_threads = HardwareConcurrency();
 
   EngineRun jobs1 = RunEngine(inputs, config, 1, /*cache_dir=*/"");
   EngineRun jobs4 = RunEngine(inputs, config, 4, /*cache_dir=*/"");

@@ -21,7 +21,9 @@
 #   --fast runs only the concurrency-relevant tests under TSan and the
 #   crash/corruption/durability and simulator-core tests (CPU, kernel,
 #   caches, TLBs, write buffer, ISA, golden digests) under ASan (the full
-#   suites are slow on small hosts). Both filters include ProcessRelease:
+#   suites are slow on small hosts). Both filters include ParallelFor,
+#   whose per-call threads work on the caller's stack frame until they are
+#   joined. Both also include ProcessRelease:
 #   under TSan an exited process's address space is released on the
 #   per-CPU worker threads, and under ASan a memo left pointing into a
 #   released page would be a use-after-free. Both also include Session:
@@ -157,7 +159,7 @@ run_config() {
 if [[ "$RUN_TSAN" == 1 ]]; then
   TSAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    TSAN_FILTER="DriverConcurrency|MpDeterminism|PipelineIntegration|DcpiDriver|KernelSched|ThreadPool|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|MemorySection|SimGolden|ProcessRelease|Session"
+    TSAN_FILTER="DriverConcurrency|MpDeterminism|PipelineIntegration|DcpiDriver|KernelSched|ParallelFor|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|MemorySection|SimGolden|ProcessRelease|Session"
   fi
   run_config build-tsan "-fsanitize=thread -O1 -g -fno-omit-frame-pointer" "$TSAN_FILTER"
 fi
@@ -165,7 +167,7 @@ fi
 if [[ "$RUN_ASAN" == 1 ]]; then
   ASAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    ASAN_FILTER="ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|CpuTiming|KernelSmoke|Cache|Tlb|WriteBuffer|Isa|SimGolden|ProcessRelease|Session"
+    ASAN_FILTER="ParallelFor|ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|CpuTiming|KernelSmoke|Cache|Tlb|WriteBuffer|Isa|SimGolden|ProcessRelease|Session"
   fi
   # -fno-sanitize-recover makes undefined behaviour fail the test that hits
   # it instead of only printing a report.

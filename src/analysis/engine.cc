@@ -1,6 +1,6 @@
 #include "src/analysis/engine.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -10,6 +10,7 @@
 #include "src/profiledb/database.h"
 #include "src/support/binary_io.h"
 #include "src/support/crc32.h"
+#include "src/support/parallel_for.h"
 
 namespace dcpi {
 
@@ -603,7 +604,8 @@ bool LoadCacheEntry(const std::string& path, uint32_t image_crc,
 }  // namespace
 
 AnalysisEngine::AnalysisEngine(EngineOptions options)
-    : options_(std::move(options)), pool_(options_.jobs) {
+    : options_(std::move(options)),
+      jobs_(options_.jobs < 1 ? HardwareConcurrency() : options_.jobs) {
   if (!options_.analyze) {
     options_.analyze = [](const ExecutableImage& image, const ProcedureSymbol& proc,
                           const ImageProfile& cycles, const ImageProfile* imiss,
@@ -681,7 +683,7 @@ EpochAnalysis AnalysisEngine::AnalyzeAllCached(
   if (cache) {
     // Keys are per input, not per procedure; hash each input once, in
     // parallel (image serialization dominates for large images).
-    pool_.ParallelFor(inputs.size(), [&](size_t i, int) {
+    ParallelFor(jobs_, inputs.size(), [&](size_t i, int) {
       image_crc[i] = ImageContentCrc(*inputs[i].image);
       profiles_crc[i] = ProfileSetCrc(inputs[i]);
     });
@@ -699,8 +701,9 @@ EpochAnalysis AnalysisEngine::AnalyzeAllCached(
   }
   out.procedures.resize(tasks.size());
 
-  std::vector<AnalysisScratch> scratch(pool_.num_threads());
-  pool_.ParallelFor(tasks.size(), [&](size_t t, int worker) {
+  std::vector<AnalysisScratch> scratch(
+      std::min(tasks.size(), static_cast<size_t>(jobs_)));
+  ParallelFor(jobs_, tasks.size(), [&](size_t t, int worker) {
     const Task& task = tasks[t];
     RunOne(inputs[task.input], *task.proc, config, cache_dir,
            image_crc[task.input], profiles_crc[task.input], config_fp,

@@ -3,8 +3,8 @@
 //
 // The offline tools (dcpicalc, dcpicheck, dcpistats) analyze every
 // (image, procedure) pair of an epoch; the pairs are independent, so the
-// engine fans them across a work-stealing ThreadPool and collects results
-// into index-addressed slots. The reduction order is fixed by the input
+// engine fans them out with ParallelFor and collects results into
+// index-addressed slots. The reduction order is fixed by the input
 // order (images in the order given, procedures in symbol-table order), so
 // tool output is byte-identical regardless of --jobs.
 //
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/analysis/analyzer.h"
-#include "src/support/thread_pool.h"
 
 namespace dcpi {
 
@@ -147,8 +146,6 @@ class AnalysisEngine {
       const AnalysisConfig& config,
       const DatabaseAnalysisOptions& opts = DatabaseAnalysisOptions());
 
-  int jobs() const { return pool_.num_threads(); }
-
  private:
   void RunOne(const AnalysisInput& input, const ProcedureSymbol& proc,
               const AnalysisConfig& config, const std::string& cache_dir,
@@ -161,7 +158,7 @@ class AnalysisEngine {
                                  const std::string& cache_dir);
 
   EngineOptions options_;
-  ThreadPool pool_;
+  int jobs_;  // options_.jobs resolved: <1 became hardware concurrency
 };
 
 // ---- Cache-key pieces (exposed for tests and tools) ----

@@ -65,20 +65,22 @@ void DcpiDriver::ServiceFlush(uint32_t cpu_id, PerCpu* cpu) {
   if (active.count > 0) PublishActive(cpu_id, cpu);
 }
 
+uint64_t DcpiDriver::ServiceRequestedFlush(uint32_t cpu_id, PerCpu* cpu) {
+  if (!cpu->flush_requested.load(std::memory_order_relaxed)) [[likely]] return 0;
+  // The IPI-modeled flush: the daemon flagged this CPU; the handler does
+  // the drain itself, so the hash table and buffers still have a single
+  // writer.
+  cpu->flush_requested.store(false, std::memory_order_relaxed);
+  ServiceFlush(cpu_id, cpu);
+  ++cpu->stats.flush_requests_serviced;
+  cpu->stats.ipi_flush_cycles += config_.ipi_flush_cycles;
+  return config_.ipi_flush_cycles;
+}
+
 uint64_t DcpiDriver::DeliverSample(uint32_t cpu_id, uint32_t pid, uint64_t pc,
                                    EventType event) {
   PerCpu& cpu = per_cpu_[cpu_id];
-  uint64_t cost = 0;
-  if (cpu.flush_requested.load(std::memory_order_relaxed)) {
-    // The IPI-modeled flush: the daemon flagged this CPU; the handler does
-    // the drain itself, so the hash table and buffers still have a single
-    // writer.
-    cpu.flush_requested.store(false, std::memory_order_relaxed);
-    ServiceFlush(cpu_id, &cpu);
-    ++cpu.stats.flush_requests_serviced;
-    cost += config_.ipi_flush_cycles;
-    cpu.stats.ipi_flush_cycles += config_.ipi_flush_cycles;
-  }
+  uint64_t cost = ServiceRequestedFlush(cpu_id, &cpu);
   SampleKey key{pid, pc, event};
   if (config_.record_trace && cpu.trace.size() < config_.max_trace_samples) {
     cpu.trace.push_back(key);
@@ -105,14 +107,7 @@ uint64_t DcpiDriver::DeliverSample(uint32_t cpu_id, uint32_t pid, uint64_t pc,
 uint64_t DcpiDriver::DeliverWideSample(uint32_t cpu_id,
                                        const WideSampleRecord& record) {
   PerCpu& cpu = per_cpu_[cpu_id];
-  uint64_t cost = 0;
-  if (cpu.flush_requested.load(std::memory_order_relaxed)) {
-    cpu.flush_requested.store(false, std::memory_order_relaxed);
-    ServiceFlush(cpu_id, &cpu);
-    ++cpu.stats.flush_requests_serviced;
-    cost += config_.ipi_flush_cycles;
-    cpu.stats.ipi_flush_cycles += config_.ipi_flush_cycles;
-  }
+  uint64_t cost = ServiceRequestedFlush(cpu_id, &cpu);
   // The bypass path: no hash probe, the record goes straight to the
   // overflow stream (it cannot live in the packed 16-byte line).
   AppendOverflow(cpu_id, &cpu, OverflowRecord::Wide(record));

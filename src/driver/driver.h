@@ -278,6 +278,9 @@ class DcpiDriver : public SampleSink {
   // Drains one CPU's published buffers. Returns buffers consumed.
   size_t DrainCpuPublished(uint32_t cpu_id);
   void ServiceFlush(uint32_t cpu_id, PerCpu* cpu);
+  // Services a pending flush request, if any, and returns its cost
+  // (ipi_flush_cycles, or 0 when none was pending).
+  uint64_t ServiceRequestedFlush(uint32_t cpu_id, PerCpu* cpu);
 
   DriverConfig config_;
   std::vector<PerCpu> per_cpu_;

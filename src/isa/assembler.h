@@ -50,6 +50,10 @@ namespace dcpi {
 // span image bases.
 using ExternSymbols = std::unordered_map<std::string, uint64_t>;
 
+// The largest constant `li` loads: ldah's signed 16-bit high half plus
+// lda's sign-extended low half reach 0x7fff'7fff, short of INT32_MAX.
+inline constexpr int64_t kMaxLiValue = 0x7fff'7fff;
+
 // Assembles `source` into an image named `image_name` with its text section
 // at `text_base` (must be instruction-aligned and below 2^31 so addresses
 // fit an ldah/lda pair). Returns the image or an error naming the line.

@@ -9,7 +9,7 @@
 
 #include "src/support/binary_io.h"
 #include "src/support/parse.h"
-#include "src/support/thread_pool.h"
+#include "src/support/parallel_for.h"
 
 namespace dcpi {
 
@@ -164,7 +164,6 @@ Status CompactFleet(const FleetView& fleet, const std::string& out_root,
     return InvalidArgument("no host_<id> shards under " + fleet.root());
   }
   ProfileDatabase out(out_root);
-  ThreadPool pool(jobs);
 
   for (uint32_t epoch : epochs) {
     // Sealed output epochs are finished work from an earlier pass.
@@ -192,7 +191,7 @@ Status CompactFleet(const FleetView& fleet, const std::string& out_root,
     // merged bytes.
     std::vector<Result<ImageProfile>> slots(tasks.size(),
                                             IoError("not read"));
-    pool.ParallelFor(tasks.size(), [&](size_t index, int /*worker*/) {
+    ParallelFor(jobs, tasks.size(), [&](size_t index, int /*worker*/) {
       std::vector<uint8_t> bytes;
       Status read = ReadFile(tasks[index].path, &bytes);
       if (!read.ok()) {

@@ -26,7 +26,6 @@
 #ifndef SRC_SUPPORT_MUTEX_H_
 #define SRC_SUPPORT_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
 
@@ -49,10 +48,9 @@ namespace dcpi {
 //                          lock (never two at once, so one shared rank)
 //   profiledb            — epoch cursor + write serialization; nests
 //                          inside daemon.flush, never the reverse
-//   threadpool           — pool coordinator; tasks run with no pool lock
-//                          held, so analysis work (which reads the
-//                          database) never wraps back under it
-//   threadpool.queue     — per-worker deque lock; innermost of all
+//
+// ParallelFor (parallel_for.h) takes no lock: its callers hold none, so
+// the analysis work it runs may take any rank.
 enum class LockRank : int {
   kKernelLoader = 100,
   kDaemonFlush = 200,
@@ -60,8 +58,6 @@ enum class LockRank : int {
   kDaemonProfiles = 400,
   kDaemonProfileSlot = 500,
   kProfileDb = 600,
-  kThreadPool = 700,
-  kThreadPoolQueue = 800,
   // For tools/tests that need an innermost lock with no children.
   kLeaf = 10'000,
 };
@@ -99,10 +95,7 @@ inline int MaxHeldRankForTest() { return -1; }
 
 }  // namespace lockrank
 
-// Exclusive mutex with a capability annotation and a static rank. The
-// lowercase lock()/unlock() aliases satisfy BasicLockable so CondVar can
-// release and reacquire it (keeping the rank bookkeeping consistent
-// across waits).
+// Exclusive mutex with a capability annotation and a static rank.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex(LockRank rank, const char* name)
@@ -119,10 +112,6 @@ class CAPABILITY("mutex") Mutex {
     lockrank::RecordRelease(this, name_);
     mu_.unlock();
   }
-
-  // BasicLockable (for std::condition_variable_any via CondVar).
-  void lock() ACQUIRE() { Lock(); }
-  void unlock() RELEASE() { Unlock(); }
 
   int rank() const { return rank_; }
   const char* name() const { return name_; }
@@ -209,22 +198,6 @@ class SCOPED_CAPABILITY ReaderMutexLock {
 
  private:
   SharedMutex* const mu_;
-};
-
-// Condition variable usable with the annotated Mutex. Wait() requires the
-// mutex held; the analysis treats the capability as held across the wait
-// (the temporary release/reacquire inside std::condition_variable_any is
-// invisible to it, which matches the caller-visible contract). The rank
-// bookkeeping *does* see the release/reacquire, via Mutex::lock()/
-// unlock(), so held-lock state stays exact across waits.
-class CondVar {
- public:
-  void Wait(Mutex& mu) REQUIRES(mu) { cv_.wait(mu); }
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 }  // namespace dcpi

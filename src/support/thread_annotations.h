@@ -2,7 +2,7 @@
 //
 // These macros attach compile-time lock-discipline contracts to the
 // concurrent half of the system (driver handoff, daemon ingest, profile
-// database, thread pool): which mutex guards which field, which lock a
+// database, kernel loader): which mutex guards which field, which lock a
 // function requires, what a scoped locker acquires and releases. Under
 // Clang the contracts are enforced by `-Wthread-safety` (promoted to an
 // error by the build, see the top-level CMakeLists and check.sh

@@ -35,7 +35,8 @@
 // byte-identical to a run without memory sampling.
 //
 // Numbers are parsed strictly (src/support/parse.h): a malformed,
-// non-finite or out-of-range value exits 2 with usage.
+// non-finite or out-of-range value exits 2 with usage, and so does a
+// scale that takes a workload's iteration count past kMaxLiValue.
 //
 // Workloads: copy scale sum triad specfp specint gcc x11perf altavista dss
 //            parallel_specfp timesharing pointer_chase branch_heavy
@@ -149,6 +150,10 @@ int main(int argc, char** argv) {
 
   WorkloadFactory factory(scale);
   const Workload workload = MakeWorkload(factory, workload_name);
+  if (!factory.status().ok()) {
+    std::fprintf(stderr, "%s\n", factory.status().ToString().c_str());
+    return Usage();
+  }
   SystemConfig config;
   config.kernel.num_cpus = cpus != 0 ? cpus : std::max(1u, workload.num_cpus);
   config.mode = mode_name == "cycles" ? ProfilingMode::kCycles

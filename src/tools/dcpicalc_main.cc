@@ -16,7 +16,8 @@
 // before analysis. The analysis runs through the AnalysisEngine: results
 // are cached content-addressed under <db_root>/epoch_<N>/.cache for a
 // single epoch (or <db_root>/.cache for a merged set; --no-cache
-// disables), and --jobs sizes the worker pool shared with the other tools.
+// disables). --jobs is accepted like the other tools', but one image and
+// one procedure leave nothing to run in parallel.
 
 #include <cstdio>
 #include <cstring>

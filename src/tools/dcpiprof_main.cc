@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "src/support/thread_pool.h"
+#include "src/support/parallel_for.h"
 #include "src/tools/dcpiprof.h"
 #include "src/tools/toolkit.h"
 
@@ -87,8 +87,7 @@ int main(int argc, char** argv) {
     std::optional<ImageProfile> cycles, secondary;
   };
   std::vector<Slot> slots(num_hosts * num_images);
-  ThreadPool pool(options.jobs);
-  pool.ParallelFor(slots.size(), [&](size_t cell, int) {
+  ParallelFor(options.jobs, slots.size(), [&](size_t cell, int) {
     const ProfileDatabase& host = ctx.view.host(cell / num_images);
     const auto& image = images.value()[cell % num_images];
     Result<ImageProfile> cycles =

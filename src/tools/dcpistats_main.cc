@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "src/support/thread_pool.h"
+#include "src/support/parallel_for.h"
 #include "src/tools/dcpiprof.h"
 #include "src/tools/dcpistats.h"
 #include "src/tools/toolkit.h"
@@ -97,8 +97,7 @@ int main(int argc, char** argv) {
   // across every resolved epoch; a plain cell reads one epoch.
   const size_t num_images = images.value().size();
   std::vector<std::optional<ImageProfile>> grid(num_sets * num_images);
-  ThreadPool pool(options.jobs);
-  pool.ParallelFor(grid.size(), [&](size_t cell, int) {
+  ParallelFor(options.jobs, grid.size(), [&](size_t cell, int) {
     const auto& image = images.value()[cell % num_images];
     const size_t set = cell / num_images;
     const ProfileDatabase& host = ctx.view.host(fleet ? set : 0);

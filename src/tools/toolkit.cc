@@ -6,7 +6,7 @@
 #include "src/check/selfcheck.h"
 #include "src/isa/image_io.h"
 #include "src/support/parse.h"
-#include "src/support/thread_pool.h"
+#include "src/support/parallel_for.h"
 
 namespace dcpi {
 
@@ -73,9 +73,8 @@ Result<std::vector<std::shared_ptr<ExecutableImage>>> LoadImageSet(
     const std::vector<std::string>& paths, int jobs) {
   std::vector<Result<std::shared_ptr<ExecutableImage>>> loads(
       paths.size(), Status(StatusCode::kInternal, "not loaded"));
-  ThreadPool pool(jobs);
-  pool.ParallelFor(paths.size(),
-                   [&](size_t i, int) { loads[i] = LoadImage(paths[i]); });
+  ParallelFor(jobs, paths.size(),
+              [&](size_t i, int) { loads[i] = LoadImage(paths[i]); });
   std::vector<std::shared_ptr<ExecutableImage>> images;
   images.reserve(paths.size());
   for (size_t i = 0; i < paths.size(); ++i) {

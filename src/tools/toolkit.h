@@ -26,7 +26,8 @@ namespace dcpi {
 //   --epoch N      analyze epoch N (repeatable)
 //   --all-epochs   analyze every sealed epoch (every epoch if none is
 //                  sealed yet)
-//   --jobs N       worker threads (default: hardware concurrency)
+//   --jobs N       workers per parallel step; 1 runs it on the caller
+//                  (default: hardware concurrency; see ParallelFor)
 //   --no-cache     disable the content-addressed analysis result cache
 //   --fleet        treat the database path as a fleet root of host_<id>
 //                  shards and merge across hosts on read

@@ -834,14 +834,21 @@ uint64_t WorkloadFactory::NextBase() {
   return base;
 }
 
-uint64_t WorkloadFactory::Iters(uint64_t base_count) const {
+uint64_t WorkloadFactory::Iters(uint64_t base_count) {
   const double scaled = static_cast<double>(base_count) * scale_;
-  // Converting a NaN or a double outside [0, 2^64) to uint64_t can be
-  // undefined, so such a scale aborts like a bad image.
-  if (!(scaled >= 0 && scaled < 18446744073709551616.0)) {
-    std::fprintf(stderr, "workload scale %g: %llu base iterations overflow uint64_t\n",
-                 scale_, static_cast<unsigned long long>(base_count));
-    std::abort();
+  // Every count is loaded by one `li`. Testing the double also rejects a
+  // NaN, whose conversion to an integer would be undefined.
+  if (!(scaled >= 0 && scaled < static_cast<double>(kMaxLiValue) + 1)) {
+    if (status_.ok()) {
+      char message[160];
+      std::snprintf(message, sizeof(message),
+                    "workload scale %g: %llu base iterations exceed the largest "
+                    "loop count %lld",
+                    scale_, static_cast<unsigned long long>(base_count),
+                    static_cast<long long>(kMaxLiValue));
+      status_ = InvalidArgument(message);
+    }
+    return 1;
   }
   const uint64_t iters = static_cast<uint64_t>(scaled);
   return iters == 0 ? 1 : iters;

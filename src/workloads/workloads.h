@@ -97,13 +97,21 @@ class WorkloadFactory {
                                          const std::string& source,
                                          const ExternSymbols* externs = nullptr);
 
+  // The first scale error: a scaled iteration count that is not a number
+  // or exceeds kMaxLiValue, the largest constant the `li` that loads it
+  // can hold. Such a count is built as 1, so the image still assembles,
+  // but the workload is not the one asked for. Callers that take the
+  // scale from a user check this after building.
+  const Status& status() const { return status_; }
+
  private:
   uint64_t NextBase();
-  uint64_t Iters(uint64_t base_count) const;
+  uint64_t Iters(uint64_t base_count);
 
   double scale_;
   uint64_t seed_;
   uint64_t next_base_ = 0x0100'0000;
+  Status status_;
 };
 
 }  // namespace dcpi

@@ -76,9 +76,14 @@ TEST_F(CliExitTest, UsageErrorsExitTwo) {
   EXPECT_EQ(RunTool("dcpi_sim --mem-fraction nan copy " + root_), 2);
   EXPECT_EQ(RunTool("dcpi_sim copy " + root_ + " cycles inf"), 2);
   EXPECT_EQ(RunTool("dcpi_sim copy " + root_ + " cycles nan"), 2);
-  // A finite scale whose iteration count overflows aborts instead of
-  // silently running one iteration.
-  EXPECT_NE(RunTool("dcpi_sim copy " + root_ + " cycles 1e300"), 0);
+  // A finite scale whose iteration count does not fit the `li` that
+  // loads it is a usage error too, reported before anything is written:
+  // copy's 4 base iterations scale to 2147483644 here, past kMaxLiValue
+  // though within 32 bits.
+  EXPECT_EQ(RunTool("dcpi_sim copy " + root_ + "/big cycles 536870911"), 2);
+  EXPECT_EQ(RunTool("dcpi_sim copy " + root_ + "/big cycles 1e10"), 2);
+  EXPECT_EQ(RunTool("dcpi_sim copy " + root_ + "/big cycles 1e300"), 2);
+  EXPECT_FALSE(std::filesystem::exists(root_ + "/big"));
 }
 
 TEST_F(CliExitTest, MissingInputsExitOne) {

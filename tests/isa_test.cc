@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/isa/assembler.h"
 #include "src/isa/image_io.h"
 #include "src/isa/instruction.h"
@@ -145,6 +147,10 @@ TEST(Assembler, RejectsBadInput) {
   EXPECT_TRUE(bad(".proc foo\nnop\n"));                   // unterminated .proc
   EXPECT_TRUE(bad("ldq r1, 40000(r1)\n"));                // displacement range
   EXPECT_FALSE(bad("addq r1, 255, r3\n"));                // boundary literal OK
+  const std::string li_max = "li r1, " + std::to_string(kMaxLiValue) + "\n";
+  const std::string li_over = "li r1, " + std::to_string(kMaxLiValue + 1) + "\n";
+  EXPECT_FALSE(bad(li_max.c_str()));  // largest constant li loads
+  EXPECT_TRUE(bad(li_over.c_str()));  // ldah's high half overflows
 }
 
 TEST(Assembler, BranchDisplacementAndLabels) {
