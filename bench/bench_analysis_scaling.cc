@@ -91,14 +91,7 @@ EngineRun RunEngine(const std::vector<AnalysisInput>& inputs,
   EngineOptions options;
   options.jobs = jobs;
   options.cache_dir = cache_dir;
-  options.analyze = [](const ExecutableImage& image, const ProcedureSymbol& proc,
-                       const ImageProfile& cycles, const ImageProfile* imiss,
-                       const ImageProfile* dmiss, const ImageProfile* branchmp,
-                       const ImageProfile* dtbmiss, const AnalysisConfig& cfg,
-                       AnalysisScratch* scratch) {
-    return AnalyzeProcedureChecked(image, proc, cycles, imiss, dmiss, branchmp,
-                                   dtbmiss, cfg, scratch);
-  };
+  options.analyze = AnalyzeProcedureChecked;
   AnalysisEngine engine(options);
   auto start = std::chrono::steady_clock::now();
   EpochAnalysis epoch = engine.AnalyzeAll(inputs, config);

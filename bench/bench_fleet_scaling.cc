@@ -12,14 +12,16 @@
 //     collection wall-clock — the profile traffic rate the fleet
 //     sustains. Absolute numbers are small: compact profile databases
 //     are the point (Section 8's ~10 MB/day/host budget).
-//   - analysis wall-time: AnalyzeDatabase over every shard, cold (empty
-//     result caches) and warm (second pass over the same epochs). The warm
-//     pass must be pure cache hits: per-epoch caches make re-analyzing a
-//     fleet pay only for epochs that are new since the last pass.
+//   - analysis wall-time: AnalyzeDatabase over every shard's sealed
+//     epochs, cold (empty result caches) and warm (second pass over the
+//     same epochs). The warm pass must be pure cache hits: per-epoch
+//     caches make re-analyzing a fleet pay only for epochs that are new
+//     since the last pass.
 //
 // Gate (always on — it is a correctness property, not a perf threshold):
 // the warm pass has cache_hits > 0 and cache_misses == 0 on every shard,
-// and every shard sealed the expected number of epochs.
+// and every shard sealed the expected number of epochs, each with
+// analyzed procedures.
 //
 // Emits machine-readable BENCH_fleet.json in the working directory.
 // --smoke shrinks the run to seconds-scale (CI / sanitizer jobs).
@@ -117,12 +119,17 @@ FleetPoint MeasureFleet(uint32_t hosts, uint32_t segments, const Workload& workl
     auto pass_start = std::chrono::steady_clock::now();
     for (size_t h = 0; h < fleet.num_hosts(); ++h) {
       const ProfileDatabase& shard = fleet.host(h);
-      ok = ok && shard.ListSealedEpochs().size() == segments;
+      DatabaseAnalysisOptions options;
+      options.epochs = shard.ListSealedEpochs();
+      ok = ok && options.epochs.size() == segments;
       AnalysisEngine engine;
-      DatabaseAnalysis analysis = engine.AnalyzeDatabase(shard, images, config);
+      DatabaseAnalysis analysis = engine.AnalyzeDatabase(shard, images, config, options);
       hits += analysis.cache_hits;
       misses += analysis.cache_misses;
-      ok = ok && !analysis.merged.empty();
+      ok = ok && analysis.per_epoch.size() == segments;
+      for (const EpochAnalysisResult& epoch : analysis.per_epoch) {
+        ok = ok && !epoch.analysis.procedures.empty();
+      }
     }
     double pass_ms = MsSince(pass_start);
     if (pass == 0) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <unordered_map>
 #include <utility>
 
 #include "src/isa/image_io.h"
@@ -601,136 +602,127 @@ bool LoadCacheEntry(const std::string& path, uint32_t image_crc,
   return true;
 }
 
+// Tallies a finished analysis's cache use: a hit was served from the
+// cache, a miss analyzed fresh with the cache on.
+void CountCacheUse(bool cache, EpochAnalysis* analysis) {
+  for (const ProcedureResult& r : analysis->procedures) {
+    if (!r.status.ok()) continue;
+    if (r.from_cache) {
+      ++analysis->cache_hits;
+    } else if (cache) {
+      ++analysis->cache_misses;
+    }
+  }
+}
+
 }  // namespace
 
 AnalysisEngine::AnalysisEngine(EngineOptions options)
     : options_(std::move(options)),
-      jobs_(options_.jobs < 1 ? HardwareConcurrency() : options_.jobs) {
-  if (!options_.analyze) {
-    options_.analyze = [](const ExecutableImage& image, const ProcedureSymbol& proc,
-                          const ImageProfile& cycles, const ImageProfile* imiss,
-                          const ImageProfile* dmiss, const ImageProfile* branchmp,
-                          const ImageProfile* dtbmiss, const AnalysisConfig& config,
-                          AnalysisScratch* scratch) {
-      return AnalyzeProcedure(image, proc, cycles, imiss, dmiss, branchmp,
-                              dtbmiss, config, scratch);
-    };
-  }
-  if (!options_.cache_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.cache_dir, ec);
-    // Unwritable cache directories degrade to cache-off behaviour: loads
-    // miss and stores fail silently.
-  }
-}
+      jobs_(options_.jobs < 1 ? HardwareConcurrency() : options_.jobs) {}
 
-void AnalysisEngine::RunOne(const AnalysisInput& input, const ProcedureSymbol& proc,
-                            const AnalysisConfig& config,
-                            const std::string& cache_dir, uint32_t image_crc,
-                            uint32_t profiles_crc, uint32_t config_fp,
-                            AnalysisScratch* scratch, ProcedureResult* out) {
-  out->image_name = input.image->name();
-  out->proc = proc;
-  if (input.cycles == nullptr) {
-    out->status = InvalidArgument("no CYCLES profile for image " + out->image_name);
-    return;
-  }
-  const bool cache = !cache_dir.empty();
-  std::string path;
-  if (cache) {
-    path = CacheEntryPath(cache_dir, image_crc, profiles_crc, config_fp, proc);
-    if (LoadCacheEntry(path, image_crc, profiles_crc, config_fp, proc,
-                       *input.image, &out->analysis)) {
-      out->from_cache = true;
-      out->status = Status::Ok();
-      return;
+void AnalysisEngine::AddTasks(const std::vector<AnalysisInput>& inputs,
+                              const std::string& cache_dir, EpochAnalysis* out,
+                              std::vector<Task>* tasks) {
+  size_t slots = 0;
+  for (const AnalysisInput& input : inputs) slots += input.image->procedures().size();
+  out->procedures.resize(slots);
+  ProcedureResult* slot = out->procedures.data();
+  for (const AnalysisInput& input : inputs) {
+    for (const ProcedureSymbol& proc : input.image->procedures()) {
+      tasks->push_back(Task{&input, &proc, &cache_dir, slot++});
     }
   }
-  Result<ProcedureAnalysis> result =
-      options_.analyze(*input.image, proc, *input.cycles, input.imiss, input.dmiss,
-                       input.branchmp, input.dtbmiss, config, scratch);
-  out->status = result.status();
-  if (!result.ok()) return;
-  out->analysis = std::move(result).value();
-  if (cache) {
-    // Best effort: a failed store just means the next run recomputes.
-    Status stored = WriteFileAtomic(
-        path, BuildCacheEntry(image_crc, profiles_crc, config_fp, proc,
-                              out->analysis));
-    (void)stored;
-  }
 }
 
-EpochAnalysis AnalysisEngine::AnalyzeAll(const std::vector<AnalysisInput>& inputs,
-                                         const AnalysisConfig& config) {
-  return AnalyzeAllCached(inputs, config, options_.cache_dir);
-}
-
-EpochAnalysis AnalysisEngine::AnalyzeAllCached(
-    const std::vector<AnalysisInput>& inputs, const AnalysisConfig& config,
-    const std::string& cache_dir) {
-  EpochAnalysis out;
-  const bool cache = !cache_dir.empty();
-  if (cache) {
-    // Callers may pass per-epoch directories that do not exist yet
-    // (AnalyzeDatabase); unwritable ones degrade to cache-off behaviour.
-    std::error_code ec;
-    std::filesystem::create_directories(cache_dir, ec);
-  }
-  const uint32_t config_fp = cache ? ConfigFingerprint(config) : 0;
-  std::vector<uint32_t> image_crc(inputs.size(), 0);
-  std::vector<uint32_t> profiles_crc(inputs.size(), 0);
-  if (cache) {
-    // Keys are per input, not per procedure; hash each input once, in
-    // parallel (image serialization dominates for large images).
-    ParallelFor(jobs_, inputs.size(), [&](size_t i, int) {
-      image_crc[i] = ImageContentCrc(*inputs[i].image);
-      profiles_crc[i] = ProfileSetCrc(inputs[i]);
-    });
-  }
-
-  struct Task {
-    size_t input;
-    const ProcedureSymbol* proc;
+void AnalysisEngine::Run(const std::vector<Task>& tasks,
+                         const AnalysisConfig& config) {
+  // Keys are per input, not per procedure, and inputs of one call share
+  // images (AnalyzeDatabase's epochs), so each is hashed once, here.
+  struct Key {
+    uint32_t image_crc = 0;
+    uint32_t profiles_crc = 0;
   };
-  std::vector<Task> tasks;
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    for (const ProcedureSymbol& proc : inputs[i].image->procedures()) {
-      tasks.push_back(Task{i, &proc});
+  std::vector<Key> keys(tasks.size());
+  std::unordered_map<const ExecutableImage*, uint32_t> image_crcs;
+  const AnalysisInput* keyed = nullptr;
+  Key key;
+  const std::string* made = nullptr;
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    const Task& task = tasks[t];
+    if (task.cache_dir->empty() || task.input->cycles == nullptr) continue;
+    if (task.input != keyed) {
+      keyed = task.input;
+      auto [crc, fresh] = image_crcs.try_emplace(task.input->image.get());
+      if (fresh) crc->second = ImageContentCrc(*task.input->image);
+      key = Key{crc->second, ProfileSetCrc(*task.input)};
+    }
+    keys[t] = key;
+    if (task.cache_dir != made) {
+      made = task.cache_dir;
+      // An unwritable cache directory degrades to cache-off behaviour:
+      // loads miss and stores fail silently.
+      std::error_code ec;
+      std::filesystem::create_directories(*made, ec);
     }
   }
-  out.procedures.resize(tasks.size());
+  const uint32_t config_fp = ConfigFingerprint(config);
 
   std::vector<AnalysisScratch> scratch(
       std::min(tasks.size(), static_cast<size_t>(jobs_)));
   ParallelFor(jobs_, tasks.size(), [&](size_t t, int worker) {
     const Task& task = tasks[t];
-    RunOne(inputs[task.input], *task.proc, config, cache_dir,
-           image_crc[task.input], profiles_crc[task.input], config_fp,
-           &scratch[worker], &out.procedures[t]);
-  });
-
-  for (const ProcedureResult& r : out.procedures) {
-    if (!r.status.ok()) continue;
-    if (r.from_cache) {
-      ++out.cache_hits;
-    } else if (cache) {
-      ++out.cache_misses;
+    const AnalysisInput& input = *task.input;
+    ProcedureResult* out = task.out;
+    out->image_name = input.image->name();
+    out->proc = *task.proc;
+    if (input.cycles == nullptr) {
+      out->status = InvalidArgument("no CYCLES profile for image " + out->image_name);
+      return;
     }
-  }
+    const bool cache = !task.cache_dir->empty();
+    std::string path;
+    if (cache) {
+      path = CacheEntryPath(*task.cache_dir, keys[t].image_crc,
+                            keys[t].profiles_crc, config_fp, *task.proc);
+      if (LoadCacheEntry(path, keys[t].image_crc, keys[t].profiles_crc,
+                         config_fp, *task.proc, *input.image, &out->analysis)) {
+        out->from_cache = true;
+        out->status = Status::Ok();
+        return;
+      }
+    }
+    Result<ProcedureAnalysis> result = options_.analyze(
+        *input.image, *task.proc, *input.cycles, input.imiss, input.dmiss,
+        input.branchmp, input.dtbmiss, config, &scratch[worker]);
+    out->status = result.status();
+    if (!result.ok()) return;
+    out->analysis = std::move(result).value();
+    if (cache) {
+      // Best effort: a failed store just means the next run recomputes.
+      Status stored = WriteFileAtomic(
+          path, BuildCacheEntry(keys[t].image_crc, keys[t].profiles_crc,
+                                config_fp, *task.proc, out->analysis));
+      (void)stored;
+    }
+  });
+}
+
+EpochAnalysis AnalysisEngine::AnalyzeAll(const std::vector<AnalysisInput>& inputs,
+                                         const AnalysisConfig& config) {
+  EpochAnalysis out;
+  std::vector<Task> tasks;
+  AddTasks(inputs, options_.cache_dir, &out, &tasks);
+  Run(tasks, config);
+  CountCacheUse(!options_.cache_dir.empty(), &out);
   return out;
 }
 
 ProcedureResult AnalysisEngine::AnalyzeOne(const AnalysisInput& input,
                                            const ProcedureSymbol& proc,
                                            const AnalysisConfig& config) {
-  const bool cache = !options_.cache_dir.empty();
   ProcedureResult result;
-  AnalysisScratch scratch;
-  RunOne(input, proc, config, options_.cache_dir,
-         cache ? ImageContentCrc(*input.image) : 0,
-         cache ? ProfileSetCrc(input) : 0, cache ? ConfigFingerprint(config) : 0,
-         &scratch, &result);
+  Run({Task{&input, &proc, &options_.cache_dir, &result}}, config);
   return result;
 }
 
@@ -738,43 +730,20 @@ DatabaseAnalysis AnalysisEngine::AnalyzeDatabase(
     const ProfileDatabase& db,
     const std::vector<std::shared_ptr<const ExecutableImage>>& images,
     const AnalysisConfig& config, const DatabaseAnalysisOptions& opts) {
+  const size_t num_epochs = opts.epochs.size();
   DatabaseAnalysis out;
-  std::vector<uint32_t> epochs = opts.epochs;
-  if (epochs.empty()) {
-    epochs = db.ListSealedEpochs();
-    if (epochs.empty()) epochs = db.ListEpochs();
-  }
-
-  // Cross-epoch accumulation, keyed by deterministic (image, procedure)
-  // input order.
-  struct MergeSlot {
-    CrossEpochProcedure totals;
-    bool present = false;  // image had a CYCLES profile in some epoch
-  };
-  std::vector<MergeSlot> slots;
-  std::vector<size_t> image_first_slot(images.size(), 0);
-  for (size_t i = 0; i < images.size(); ++i) {
-    image_first_slot[i] = slots.size();
-    for (const ProcedureSymbol& proc : images[i]->procedures()) {
-      MergeSlot slot;
-      slot.totals.image_name = images[i]->name();
-      slot.totals.proc = proc;
-      slots.push_back(std::move(slot));
-    }
-  }
-
-  for (uint32_t epoch : epochs) {
-    EpochAnalysisResult per_epoch;
-    per_epoch.epoch = epoch;
-    per_epoch.sealed = db.IsSealed(epoch);
-
-    // Profiles live here for the duration of this epoch's analysis; the
-    // engine's inputs reference them by pointer.
-    std::vector<std::unique_ptr<ImageProfile>> profiles;
-    std::vector<AnalysisInput> inputs;
-    std::vector<size_t> input_image(images.size(), SIZE_MAX);
+  out.per_epoch.resize(num_epochs);
+  // Every epoch's profiles are read here and live until the fan-out ends;
+  // the inputs reference them, and the tasks the inputs and cache paths.
+  std::vector<std::unique_ptr<ImageProfile>> profiles;
+  std::vector<std::vector<AnalysisInput>> inputs(num_epochs);
+  std::vector<std::string> cache_dirs(num_epochs);
+  std::vector<Task> tasks;
+  for (size_t e = 0; e < num_epochs; ++e) {
+    EpochAnalysisResult& per_epoch = out.per_epoch[e];
+    per_epoch.epoch = opts.epochs[e];
     auto read = [&](const std::string& name, EventType event) -> const ImageProfile* {
-      Result<ImageProfile> profile = db.ReadProfile(epoch, name, event);
+      Result<ImageProfile> profile = db.ReadProfile(per_epoch.epoch, name, event);
       if (!profile.ok()) return nullptr;
       profiles.push_back(
           std::make_unique<ImageProfile>(std::move(profile).value()));
@@ -790,46 +759,17 @@ DatabaseAnalysis AnalysisEngine::AnalyzeDatabase(
       input.dmiss = read(images[i]->name(), EventType::kDmiss);
       input.branchmp = read(images[i]->name(), EventType::kBranchMp);
       input.dtbmiss = read(images[i]->name(), EventType::kDtbMiss);
-      input_image[i] = inputs.size();
       per_epoch.analyzed_images.push_back(i);
-      inputs.push_back(std::move(input));
-      per_epoch.cycles_samples += cycles->total_samples();
+      inputs[e].push_back(std::move(input));
     }
-
-    per_epoch.analysis = AnalyzeAllCached(
-        inputs, config, opts.use_cache ? db.EpochCacheDir(epoch) : std::string());
+    if (opts.use_cache) cache_dirs[e] = db.EpochCacheDir(per_epoch.epoch);
+    AddTasks(inputs[e], cache_dirs[e], &per_epoch.analysis, &tasks);
+  }
+  Run(tasks, config);
+  for (EpochAnalysisResult& per_epoch : out.per_epoch) {
+    CountCacheUse(opts.use_cache, &per_epoch.analysis);
     out.cache_hits += per_epoch.analysis.cache_hits;
     out.cache_misses += per_epoch.analysis.cache_misses;
-
-    // Fold this epoch's samples into the cross-epoch totals while its
-    // profiles are still in scope (est_cycles needs the epoch's period).
-    for (size_t i = 0; i < images.size(); ++i) {
-      if (input_image[i] == SIZE_MAX) continue;
-      const AnalysisInput& input = inputs[input_image[i]];
-      const auto& procs = images[i]->procedures();
-      for (size_t p = 0; p < procs.size(); ++p) {
-        MergeSlot& slot = slots[image_first_slot[i] + p];
-        slot.present = true;
-        const auto& counts = input.cycles->counts();
-        const uint64_t begin = procs[p].start - images[i]->text_base();
-        const uint64_t end = procs[p].end - images[i]->text_base();
-        uint64_t samples = 0;
-        for (auto it = counts.lower_bound(begin);
-             it != counts.end() && it->first < end; ++it) {
-          samples += it->second;
-        }
-        if (samples == 0) continue;
-        slot.totals.samples += samples;
-        slot.totals.est_cycles +=
-            static_cast<double>(samples) * input.cycles->mean_period();
-        ++slot.totals.epochs_present;
-      }
-    }
-    out.per_epoch.push_back(std::move(per_epoch));
-  }
-
-  for (MergeSlot& slot : slots) {
-    if (slot.present) out.merged.push_back(std::move(slot.totals));
   }
   return out;
 }

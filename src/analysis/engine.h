@@ -1,20 +1,24 @@
-// Parallel whole-epoch analysis engine with a content-addressed result
-// cache.
+// Parallel analysis engine with a content-addressed result cache.
 //
-// The offline tools (dcpicalc, dcpicheck, dcpistats) analyze every
-// (image, procedure) pair of an epoch; the pairs are independent, so the
-// engine fans them out with ParallelFor and collects results into
-// index-addressed slots. The reduction order is fixed by the input
-// order (images in the order given, procedures in symbol-table order), so
-// tool output is byte-identical regardless of --jobs.
+// The offline tools (dcpicalc, dcpicheck) analyze (image, procedure)
+// pairs. The pairs are independent, so every engine call builds its whole
+// task list (each procedure of each input, and for AnalyzeDatabase of
+// each requested epoch), fans it out with one ParallelFor, and collects
+// results into index-addressed slots. The reduction order is fixed by the
+// input order (epochs as requested, images in the order given, procedures
+// in symbol-table order), so tool output is byte-identical regardless of
+// --jobs. The engine reports per-procedure results only; it keeps no
+// summary across epochs.
 //
 // The cache is content-addressed: an entry's identity is
 //   (CRC32 of the serialized image, CRC32 over the serialized profile set,
 //    CRC32 fingerprint of the AnalysisConfig, procedure name/start/end),
 // so any change to the inputs or tuning produces a different key and a
 // clean miss — there is no invalidation protocol. Entries live as one file
-// per procedure under `EngineOptions::cache_dir`, carry the full key plus a
-// CRC32 trailer, and are ignored (recomputed and rewritten) when corrupt.
+// per procedure under a cache directory, carry the full key plus a CRC32
+// trailer, and are ignored (recomputed and rewritten) when corrupt. A
+// call creates a cache directory only for a procedure it analyzes through
+// it, so analysis never creates an epoch directory.
 
 #ifndef SRC_ANALYSIS_ENGINE_H_
 #define SRC_ANALYSIS_ENGINE_H_
@@ -57,7 +61,7 @@ using AnalyzeFn = std::function<Result<ProcedureAnalysis>(
 struct EngineOptions {
   int jobs = 0;           // worker threads; <1 = hardware concurrency
   std::string cache_dir;  // result-cache directory; empty disables caching
-  AnalyzeFn analyze;      // null = AnalyzeProcedure
+  AnalyzeFn analyze = AnalyzeProcedure;
 };
 
 struct ProcedureResult {
@@ -79,22 +83,19 @@ struct EpochAnalysis {
 // ---- Incremental whole-database analysis (continuous operation) ----
 //
 // A continuous run's database is a sequence of sealed epochs. AnalyzeDatabase
-// analyzes each requested epoch independently — through that epoch's own
-// result cache (<db>/epoch_N/.cache), so re-analyzing a grown database only
-// pays for the new epochs — and merges the per-epoch results into a
-// cross-epoch per-procedure summary.
+// analyzes each requested epoch through that epoch's own result cache
+// (<db>/epoch_N/.cache), so re-analyzing a grown database only pays for the
+// new epochs.
 
 struct DatabaseAnalysisOptions {
-  // Epochs to analyze, ascending. Empty: every sealed epoch, or every
-  // epoch if none is sealed yet (fresh batch database).
+  // Epochs to analyze, ascending. Empty analyzes none: the caller resolves
+  // any default (the tools do it once, in OpenToolDatabase).
   std::vector<uint32_t> epochs;
   bool use_cache = true;  // per-epoch caches under the database
 };
 
 struct EpochAnalysisResult {
   uint32_t epoch = 0;
-  bool sealed = false;
-  uint64_t cycles_samples = 0;  // CYCLES samples read from this epoch
   // Indices (into AnalyzeDatabase's `images`) of the images that had a
   // CYCLES profile this epoch, in input order; `analysis.procedures` holds
   // exactly these images' procedures, grouped in the same order.
@@ -102,20 +103,8 @@ struct EpochAnalysisResult {
   EpochAnalysis analysis;
 };
 
-// Per-procedure totals across the analyzed epochs.
-struct CrossEpochProcedure {
-  std::string image_name;
-  ProcedureSymbol proc;
-  uint64_t samples = 0;       // CYCLES samples summed over epochs
-  double est_cycles = 0.0;    // sum of samples_e * mean_period_e
-  uint32_t epochs_present = 0;  // epochs contributing at least one sample
-};
-
 struct DatabaseAnalysis {
-  std::vector<EpochAnalysisResult> per_epoch;  // ascending epoch order
-  // In image input order, then symbol-table order (procedures of images
-  // that never carried a CYCLES profile are omitted).
-  std::vector<CrossEpochProcedure> merged;
+  std::vector<EpochAnalysisResult> per_epoch;  // one per requested epoch
   uint64_t cache_hits = 0;    // totals across epochs
   uint64_t cache_misses = 0;
 };
@@ -135,9 +124,10 @@ class AnalysisEngine {
                              const ProcedureSymbol& proc,
                              const AnalysisConfig& config);
 
-  // Analyzes the requested epochs of `db` (see DatabaseAnalysisOptions for
-  // the default set), each through its own per-epoch cache, and merges the
-  // results. `EngineOptions::cache_dir` is ignored here; caching is
+  // Analyzes the requested epochs of `db` (none when `opts.epochs` is
+  // empty), each through its own per-epoch cache. Profiles are read on
+  // the calling thread; then every epoch's procedures go out in one
+  // fan-out. `EngineOptions::cache_dir` is ignored here; caching is
   // controlled by `opts.use_cache`. Only the given images are analyzed;
   // images without a CYCLES profile in an epoch are skipped for that epoch.
   DatabaseAnalysis AnalyzeDatabase(
@@ -147,15 +137,23 @@ class AnalysisEngine {
       const DatabaseAnalysisOptions& opts = DatabaseAnalysisOptions());
 
  private:
-  void RunOne(const AnalysisInput& input, const ProcedureSymbol& proc,
-              const AnalysisConfig& config, const std::string& cache_dir,
-              uint32_t image_crc, uint32_t profiles_crc, uint32_t config_fp,
-              AnalysisScratch* scratch, ProcedureResult* out);
-  // AnalyzeAll against an explicit cache directory (empty = no cache);
-  // AnalyzeDatabase points this at each epoch's own cache in turn.
-  EpochAnalysis AnalyzeAllCached(const std::vector<AnalysisInput>& inputs,
-                                 const AnalysisConfig& config,
-                                 const std::string& cache_dir);
+  // One procedure to analyze, through `cache_dir` (empty: no cache), into
+  // `out`.
+  struct Task {
+    const AnalysisInput* input;
+    const ProcedureSymbol* proc;
+    const std::string* cache_dir;
+    ProcedureResult* out;
+  };
+  // Sizes `out->procedures` for every procedure of `inputs` and appends a
+  // task for each slot.
+  static void AddTasks(const std::vector<AnalysisInput>& inputs,
+                       const std::string& cache_dir, EpochAnalysis* out,
+                       std::vector<Task>* tasks);
+  // The one runner. On the calling thread it hashes each distinct image
+  // and each input once and creates the cache directories the tasks use;
+  // then it analyzes every task in one ParallelFor.
+  void Run(const std::vector<Task>& tasks, const AnalysisConfig& config);
 
   EngineOptions options_;
   int jobs_;  // options_.jobs resolved: <1 became hardware concurrency

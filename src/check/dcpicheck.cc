@@ -30,12 +30,6 @@ CheckReport RunDcpicheck(const DcpicheckOptions& options) {
   AnalysisConfig config = options.analysis;
   config.selfcheck = true;
 
-  std::vector<uint32_t> epochs = options.epochs;
-  if (epochs.empty()) {
-    epochs = db.ListSealedEpochs();
-    if (epochs.empty()) epochs = db.ListEpochs();
-  }
-
   // Load and lint serially (cheap, and the lint findings must keep input
   // order); analysis fans out below.
   std::vector<std::unique_ptr<ImageEntry>> entries;
@@ -59,20 +53,11 @@ CheckReport RunDcpicheck(const DcpicheckOptions& options) {
 
   EngineOptions engine_options;
   engine_options.jobs = options.jobs;
-  engine_options.analyze = [](const ExecutableImage& image,
-                              const ProcedureSymbol& proc,
-                              const ImageProfile& cycles, const ImageProfile* imiss,
-                              const ImageProfile* dmiss, const ImageProfile* branchmp,
-                              const ImageProfile* dtbmiss,
-                              const AnalysisConfig& analysis_config,
-                              AnalysisScratch* scratch) {
-    return AnalyzeProcedureChecked(image, proc, cycles, imiss, dmiss, branchmp,
-                                   dtbmiss, analysis_config, scratch);
-  };
+  engine_options.analyze = AnalyzeProcedureChecked;
   AnalysisEngine engine(std::move(engine_options));
 
   DatabaseAnalysisOptions db_options;
-  db_options.epochs = epochs;
+  db_options.epochs = options.epochs;
   db_options.use_cache = options.use_cache;
   DatabaseAnalysis analyzed = engine.AnalyzeDatabase(db, images, config, db_options);
 
@@ -95,10 +80,11 @@ CheckReport RunDcpicheck(const DcpicheckOptions& options) {
   // Ordered reduction: per image, the lint findings first, then each
   // checked epoch's procedure reports — identical for any jobs count.
   CheckReport report;
-  if (epochs.empty()) {
+  if (options.epochs.empty()) {
     report.AddViolation(CheckPass::kInput, CheckSeverity::kWarning,
                         "profile database " + options.db_root +
-                            " has no epochs; analysis passes skipped");
+                            " has none of the requested epochs; analysis "
+                            "passes skipped");
   }
   for (const auto& entry : entries) {
     for (const CheckViolation& v : entry->pre.violations()) report.Add(v);

@@ -23,9 +23,10 @@ namespace dcpi {
 
 struct DcpicheckOptions {
   std::string db_root;
-  // Epochs to check, ascending. Empty: every sealed epoch, or every epoch
-  // of a database with no seals yet (matching the analysis engine's
-  // whole-database default).
+  // Epochs to check, ascending. Empty checks none: the report then holds
+  // the lint findings and one warning. The CLI resolves the default set
+  // (OpenToolDatabase) and, under --fleet, passes each host the requested
+  // epochs it has.
   std::vector<uint32_t> epochs;
   std::vector<std::string> image_files;
   ImageLintOptions lint;

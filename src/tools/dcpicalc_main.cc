@@ -90,10 +90,21 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "no cycles profile: %s\n", cycles.status().ToString().c_str());
     return 1;
   }
-  std::optional<ImageProfile> imiss;
-  Result<ImageProfile> imiss_result =
-      ctx.view.ReadProfile(ctx.epochs, image->name(), EventType::kImiss);
-  if (imiss_result.ok()) imiss = std::move(imiss_result).value();
+  AnalysisInput input;
+  input.image = image;
+  input.cycles = &cycles.value();
+  // The other event profiles, as dcpicheck reads them, so both tools
+  // analyze (and cache) the same inputs; a missing one stays null.
+  std::optional<ImageProfile> events[kNumEventTypes];
+  const ImageProfile** slots[kNumEventTypes] = {&input.cycles, &input.imiss, &input.dmiss,
+                                                &input.branchmp, &input.dtbmiss};
+  for (int e = 1; e < kNumEventTypes; ++e) {
+    Result<ImageProfile> profile =
+        ctx.view.ReadProfile(ctx.epochs, image->name(), static_cast<EventType>(e));
+    if (!profile.ok()) continue;
+    events[e] = std::move(profile).value();
+    *slots[e] = &*events[e];
+  }
 
   AnalysisConfig config;
   config.selfcheck = selfcheck;
@@ -108,19 +119,9 @@ int main(int argc, char** argv) {
                                    ? ctx.view.host(0).EpochCacheDir(ctx.epochs[0])
                                    : db_root + "/.cache";
   }
-  engine_options.analyze =
-      [](const ExecutableImage& img, const ProcedureSymbol& p,
-         const ImageProfile& cyc, const ImageProfile* im, const ImageProfile* dm,
-         const ImageProfile* br, const ImageProfile* dtb,
-         const AnalysisConfig& cfg, AnalysisScratch* scratch) {
-        return AnalyzeProcedureChecked(img, p, cyc, im, dm, br, dtb, cfg, scratch);
-      };
+  engine_options.analyze = AnalyzeProcedureChecked;
   AnalysisEngine engine(std::move(engine_options));
 
-  AnalysisInput input;
-  input.image = image;
-  input.cycles = &cycles.value();
-  if (imiss.has_value()) input.imiss = &*imiss;
   ProcedureResult result = engine.AnalyzeOne(input, *proc, config);
   if (!result.status.ok()) {
     std::fprintf(stderr, "analysis failed: %s\n", result.status.ToString().c_str());

@@ -7,18 +7,20 @@
 // With --fleet, <db_root> is a fleet root of host_<id> shards; every shard
 // is checked independently (each under a "=== host_<id> ===" header, each
 // with its own result cache) and the exit code reflects the worst shard —
-// one corrupt host fails the fleet check.
+// one corrupt host fails the fleet check. A shard is checked over the
+// selected epochs it has; one with none of them gets its image lint and a
+// warning.
 //
 // Runs all five verification passes (image lint, CFG structure,
 // differential cycle equivalence, flow conservation, schedule invariants)
 // and prints a structured report. Epoch selection is shared with the other
 // tools (toolkit.h): by default the latest sealed epoch is checked;
 // --all-epochs checks every sealed epoch, each through its own result
-// cache under <db_root>/epoch_<N>/.cache. Procedure analyses fan out over
-// --jobs worker threads (default: hardware concurrency); the report is
-// byte-identical for any jobs count and cold or warm cache. Exits 0 when
-// no errors were found, 1 on violations or unreadable inputs, 2 on usage
-// errors.
+// cache under <db_root>/epoch_<N>/.cache. The procedures of every checked
+// epoch fan out once over --jobs worker threads (default: hardware
+// concurrency); the report is byte-identical for any jobs count and cold
+// or warm cache. Exits 0 when no errors were found, 1 on violations or
+// unreadable inputs, 2 on usage errors.
 
 #include <algorithm>
 #include <cstdio>
@@ -78,7 +80,7 @@ int main(int argc, char** argv) {
     host_options.epochs = ctx.epochs;
     if (tool_options.fleet) {
       // Only the epochs this shard actually has: the fleet-wide epoch
-      // union may be sparse per host.
+      // union may be sparse per host, and an empty list checks none.
       std::vector<uint32_t> have = host.ListEpochs();
       std::erase_if(host_options.epochs, [&](uint32_t epoch) {
         return std::find(have.begin(), have.end(), epoch) == have.end();

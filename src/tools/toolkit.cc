@@ -1,6 +1,7 @@
 #include "src/tools/toolkit.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstring>
 
 #include "src/check/selfcheck.h"
@@ -27,7 +28,7 @@ int ParseToolFlag(int argc, char** argv, int* arg, ToolOptions* options) {
   if (std::strcmp(flag, "--jobs") == 0) {
     if (*arg + 1 >= argc) return -1;
     uint32_t jobs = 0;
-    if (!ParseUint32(argv[++*arg], &jobs)) return -1;
+    if (!ParseUint32(argv[++*arg], &jobs) || jobs > INT_MAX) return -1;
     options->jobs = static_cast<int>(jobs);
     return 1;
   }

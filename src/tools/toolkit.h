@@ -61,9 +61,10 @@ struct ToolContext {
 };
 
 // Opens the database read-only and resolves the epoch set per the rules
-// above. Explicit --epoch values pass through even when the epoch does not
-// exist (the missing profiles surface downstream); otherwise an empty
-// database is an error. With options.fleet, `db_root` must contain at
+// above: the one place a default set is chosen (AnalyzeDatabase and
+// RunDcpicheck read an empty list as no epoch). Explicit --epoch values
+// pass through even when the epoch does not exist (the missing profiles
+// surface downstream); otherwise an empty database is an error. With options.fleet, `db_root` must contain at
 // least one host_<id> shard and the epoch pool is the fleet-wide union.
 Result<ToolContext> OpenToolDatabase(const std::string& db_root,
                                      const ToolOptions& options);

@@ -1063,8 +1063,11 @@ Workload WorkloadFactory::AltaVistaLike(uint32_t num_cpus) {
   workload.name = "altavista";
   workload.description = "memory-latency-bound random index probes, 8 query streams";
   workload.num_cpus = num_cpus;
+  // The seed is loaded by one `li`, so it wraps into kMaxLiValue's range;
+  // every seed up to kMaxLiValue - 1234567 keeps its historical value.
+  const uint64_t lcg_seed = (1234567 + seed_) % (static_cast<uint64_t>(kMaxLiValue) + 1);
   std::string text = Subst(kAltaVistaSource, {{"QUERIES", Iters(20000)},
-                                              {"SEED", 1234567 + seed_},
+                                              {"SEED", lcg_seed},
                                               {"INDEX_N", kIndexN},
                                               {"INDEX_MASK", kIndexN - 1},
                                               {"INDEX_BYTES", kIndexN * 8}});

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -489,10 +490,9 @@ TEST(ScheduleCheck, RealSchedulesPassMutatedSchedulesFail) {
 
 // ---- End to end: dcpicheck over the Figure 7 copy workload -----------------
 
-TEST(Dcpicheck, CopyWorkloadDatabaseIsViolationFree) {
-  ScratchDir scratch;
-  const std::string& root = scratch.path();
-
+// Collects the copy workload into <root>/db (one epoch, 0) and saves its
+// image to <root>/copy.img; returns options naming both.
+DcpicheckOptions CollectCopy(const std::string& root) {
   WorkloadFactory factory(/*scale=*/0.5);
   Workload workload = factory.McCalpin(StreamKernel::kCopy);
   SystemConfig config;
@@ -502,20 +502,37 @@ TEST(Dcpicheck, CopyWorkloadDatabaseIsViolationFree) {
   config.free_profiling = true;
   config.db_root = root + "/db";
   System system(config);
-  ASSERT_TRUE(workload.Instantiate(&system).ok());
+  EXPECT_TRUE(workload.Instantiate(&system).ok());
   SystemResult result = system.Run();
-  ASSERT_FALSE(result.had_error);
-
-  auto image = workload.processes[0].images[0];
-  const std::string image_path = root + "/copy.img";
-  ASSERT_TRUE(SaveImage(*image, image_path).ok());
+  EXPECT_FALSE(result.had_error);
+  EXPECT_EQ(system.database()->current_epoch(), 0u);
 
   DcpicheckOptions options;
   options.db_root = config.db_root;
-  options.epochs = {system.database()->current_epoch()};
-  options.image_files = {image_path};
+  options.image_files = {root + "/copy.img"};
+  EXPECT_TRUE(SaveImage(*workload.processes[0].images[0], options.image_files[0]).ok());
+  return options;
+}
+
+TEST(Dcpicheck, CopyWorkloadDatabaseIsViolationFree) {
+  ScratchDir scratch;
+  DcpicheckOptions options = CollectCopy(scratch.path());
+  options.epochs = {0};
   CheckReport report = RunDcpicheck(options);
   EXPECT_TRUE(report.empty()) << report.ToString();
+}
+
+// An empty epoch list checks no epoch: the report holds the image lint
+// and one warning, and nothing is analyzed or cached.
+TEST(Dcpicheck, EmptyEpochListAnalyzesNothing) {
+  ScratchDir scratch;
+  DcpicheckOptions options = CollectCopy(scratch.path());
+  CheckReport report = RunDcpicheck(options);
+  EXPECT_EQ(report.num_errors(), 0u);
+  ASSERT_EQ(report.num_warnings(), 1u) << report.ToString();
+  EXPECT_NE(report.ToString().find("none of the requested epochs"), std::string::npos)
+      << report.ToString();
+  EXPECT_FALSE(std::filesystem::exists(options.db_root + "/epoch_0/.cache"));
 }
 
 // Self-check through the analyzer facade: the flag routes the verification

@@ -44,6 +44,12 @@ TEST_F(CliExitTest, UsageErrorsExitTwo) {
   // Malformed shared flags are usage errors in every reader tool.
   EXPECT_EQ(RunTool("dcpiprof --epoch nope db img"), 2);
   EXPECT_EQ(RunTool("dcpistats --jobs -3 db img"), 2);
+  // --jobs must fit an int: cast to one, a larger value would go negative,
+  // which means hardware concurrency. The database is missing, so no
+  // worker starts.
+  EXPECT_EQ(RunTool("dcpicheck --jobs 4294967296 " + root_ + "/missing img"), 2);
+  EXPECT_EQ(RunTool("dcpicheck --jobs 4294967295 " + root_ + "/missing img"), 2);
+  EXPECT_EQ(RunTool("dcpicheck --jobs 2147483648 " + root_ + "/missing img"), 2);
   // Strict numeric parsing: half-numeric and negative values are rejected
   // everywhere, not silently truncated by atoi.
   EXPECT_EQ(RunTool("dcpidiff db 0x 1 img"), 2);
@@ -131,6 +137,10 @@ TEST_F(CliExitTest, ContinuousPipelineExitsZeroAndEmptyEpochsExitOne) {
   EXPECT_EQ(RunTool("dcpicalc --epoch 9999 " + db + " " + image +
                     " no_such_proc"),
             1);
+  // dcpicheck warns about an epoch without profiles. A reader creates no
+  // epoch directory: one would move the epoch a writer resumes at.
+  EXPECT_EQ(RunTool("dcpicheck --epoch 9999 " + db + all_images), 0);
+  EXPECT_FALSE(std::filesystem::exists(db + "/epoch_9999"));
   // dcpistats compares sample sets; one epoch is not enough.
   EXPECT_EQ(RunTool("dcpistats --epoch 0 " + db + " " + image), 1);
 
@@ -180,6 +190,13 @@ TEST_F(CliExitTest, FleetPipelineExitsZero) {
   ASSERT_TRUE(std::filesystem::exists(fleet + "/host_0"));
   ASSERT_TRUE(std::filesystem::exists(fleet + "/host_1"));
 
+  // A host with none of the requested epochs gets its image lint and a
+  // warning; nothing is analyzed, so no result cache appears.
+  EXPECT_EQ(RunTool("dcpicheck --fleet --epoch 9999 " + fleet + all_images), 0);
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(fleet)) {
+    EXPECT_NE(entry.path().filename(), ".cache") << entry.path();
+  }
+
   EXPECT_EQ(RunTool("dcpiprof --fleet " + fleet + all_images), 0);
   EXPECT_EQ(RunTool("dcpiprof --fleet --all-epochs " + fleet + all_images), 0);
   EXPECT_EQ(RunTool("dcpiprof --fleet -i " + fleet + all_images), 0);
@@ -209,6 +226,30 @@ TEST_F(CliExitTest, FleetPipelineExitsZero) {
   ASSERT_TRUE(std::filesystem::exists(fleet + "/merged"));
   EXPECT_EQ(RunTool("dcpiprof --all-epochs " + fleet + "/merged" + all_images), 0);
   EXPECT_EQ(RunTool("dcpistats " + fleet + "/merged" + all_images), 0);
+}
+
+TEST_F(CliExitTest, DcpicalcAnalyzesWhatDcpicheckAnalyzes) {
+  // A mux run records DMISS and BRANCHMP profiles next to CYCLES. dcpicalc
+  // reads every event profile dcpicheck reads, so with --selfcheck it finds
+  // dcpicheck's cache entry for the procedure instead of writing its own.
+  ASSERT_EQ(RunTool("dcpi_sim copy " + root_ + " mux 0.25"), 0);
+  const std::string db = root_ + "/db";
+  const std::string image = root_ + "/images/image_1.img";
+  auto entries = [&] {
+    size_t n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(db + "/epoch_0/.cache")) {
+      n += entry.path().extension() == ".pac";
+    }
+    return n;
+  };
+  ASSERT_EQ(RunTool("dcpicheck --epoch 0 " + db + " " + image), 0);
+  const size_t checked = entries();
+  ASSERT_GT(checked, 0u);
+  EXPECT_EQ(RunTool("dcpicalc --selfcheck --epoch 0 " + db + " " + image +
+                    " mccalpin_copy"),
+            0);
+  EXPECT_EQ(entries(), checked);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Continuous-operation tests: epoch rolls driven by image-map changes,
 // sealed-epoch immutability under a concurrent reader, sample conservation
-// against segmented batch collection, timed flushes, and warm re-analysis
-// through the content-addressed result cache.
+// against segmented batch collection, timed flushes, and whole-database
+// re-analysis through the content-addressed result cache.
 //
 // These tests run under TSan in scripts/check.sh (the Continuous filter):
 // the concurrent-reader test opens the database read-only from a second
@@ -236,6 +236,10 @@ TEST(Continuous, TimedFlushesPersistTheLiveEpoch) {
   }
 }
 
+// One engine call analyzes every requested epoch in one fan-out. Its
+// results are the same bytes at any jobs count, cold, warm and without a
+// cache, and unchanged sealed epochs re-analyze entirely from the
+// per-epoch caches.
 TEST(Continuous, WarmReanalysisHitsTheResultCache) {
   ScratchDir scratch;
   const std::string& root = scratch.path();
@@ -249,31 +253,55 @@ TEST(Continuous, WarmReanalysisHitsTheResultCache) {
     images.push_back(truth.image);
   }
   ProfileDatabase db(root + "/db", DbOpenMode::kReadOnly);
-  AnalysisEngine engine;
-  AnalysisConfig config;
-  DatabaseAnalysis cold = engine.AnalyzeDatabase(db, images, config);
-  EXPECT_GT(cold.cache_misses, 0u);
-  ASSERT_GE(cold.per_epoch.size(), 3u);
-  for (const EpochAnalysisResult& epoch : cold.per_epoch) {
-    EXPECT_TRUE(epoch.sealed);
-    EXPECT_GT(epoch.cycles_samples, 0u);
-  }
-  EXPECT_FALSE(cold.merged.empty());
+  DatabaseAnalysisOptions cached;
+  cached.epochs = db.ListSealedEpochs();
+  ASSERT_GE(cached.epochs.size(), 3u);
+  DatabaseAnalysisOptions uncached = cached;
+  uncached.use_cache = false;
+  // An empty epoch list analyzes nothing.
+  EXPECT_TRUE(AnalysisEngine().AnalyzeDatabase(db, images, AnalysisConfig(),
+                                               DatabaseAnalysisOptions())
+                  .per_epoch.empty());
 
-  // Unchanged sealed epochs re-analyze entirely from the per-epoch caches.
-  AnalysisEngine warm_engine;
-  DatabaseAnalysis warm = warm_engine.AnalyzeDatabase(db, images, config);
-  EXPECT_GT(warm.cache_hits, 0u);
-  EXPECT_EQ(warm.cache_misses, 0u);
-  ASSERT_EQ(warm.per_epoch.size(), cold.per_epoch.size());
-  for (size_t e = 0; e < warm.per_epoch.size(); ++e) {
-    ASSERT_EQ(warm.per_epoch[e].analysis.procedures.size(),
-              cold.per_epoch[e].analysis.procedures.size());
-  }
-  ASSERT_EQ(warm.merged.size(), cold.merged.size());
-  for (size_t i = 0; i < warm.merged.size(); ++i) {
-    EXPECT_EQ(warm.merged[i].samples, cold.merged[i].samples);
-    EXPECT_EQ(warm.merged[i].epochs_present, cold.merged[i].epochs_present);
+  // Every epoch's results as bytes, in order.
+  auto bytes = [&](const DatabaseAnalysis& analysis) {
+    std::vector<std::vector<std::vector<uint8_t>>> out;
+    for (const EpochAnalysisResult& epoch : analysis.per_epoch) {
+      out.emplace_back();
+      for (const ProcedureResult& r : epoch.analysis.procedures) {
+        EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+        out.back().push_back(SerializeProcedureAnalysis(r.analysis));
+      }
+    }
+    return out;
+  };
+  std::vector<std::vector<std::vector<uint8_t>>> want;
+  for (int jobs : {1, 2, 8}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    EngineOptions options;
+    options.jobs = jobs;
+    AnalysisEngine engine(options);
+    for (uint32_t epoch : cached.epochs) {
+      std::filesystem::remove_all(db.EpochCacheDir(epoch));
+    }
+    DatabaseAnalysis cold = engine.AnalyzeDatabase(db, images, AnalysisConfig(), cached);
+    DatabaseAnalysis warm = engine.AnalyzeDatabase(db, images, AnalysisConfig(), cached);
+    DatabaseAnalysis plain =
+        engine.AnalyzeDatabase(db, images, AnalysisConfig(), uncached);
+    ASSERT_EQ(cold.per_epoch.size(), cached.epochs.size());
+    for (size_t e = 0; e < cold.per_epoch.size(); ++e) {
+      EXPECT_EQ(cold.per_epoch[e].epoch, cached.epochs[e]);
+      EXPECT_FALSE(cold.per_epoch[e].analysis.procedures.empty());
+    }
+    EXPECT_EQ(cold.cache_hits, 0u);
+    EXPECT_GT(cold.cache_misses, 0u);
+    EXPECT_EQ(warm.cache_hits, cold.cache_misses);
+    EXPECT_EQ(warm.cache_misses, 0u);
+    EXPECT_EQ(plain.cache_hits + plain.cache_misses, 0u);
+    if (want.empty()) want = bytes(cold);
+    EXPECT_EQ(bytes(cold), want);
+    EXPECT_EQ(bytes(warm), want);
+    EXPECT_EQ(bytes(plain), want);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/isa/assembler.h"
 #include "src/workloads/workloads.h"
 
 namespace dcpi {
@@ -124,6 +125,23 @@ TEST(WorkloadFactory, GccUsesOneSharedImageManyPids) {
   }
   // Large flat text (the property that drives the eviction rate).
   EXPECT_GT(gcc.processes[0].images[0]->num_instructions(), 5000u);
+}
+
+// Altavista's query generator loads its seed with one `li`, so the seed
+// wraps into kMaxLiValue's range: a seed past it still builds, and every
+// seed below the wrap builds the image it always did.
+TEST(WorkloadFactory, EverySeedBuilds) {
+  WorkloadFactory large(0.05, 4242424242u);
+  EXPECT_FALSE(large.Timesharing(1).processes.empty());
+  EXPECT_FALSE(large.AltaVistaLike().processes.empty());
+  EXPECT_TRUE(large.status().ok()) << large.status().ToString();
+
+  auto text = [](uint64_t seed) {
+    return WorkloadFactory(0.05, seed).AltaVistaLike().processes[0].images[0]->text();
+  };
+  const uint64_t wrap = static_cast<uint64_t>(kMaxLiValue) + 1;
+  EXPECT_EQ(text(7), text(7 + wrap));
+  EXPECT_NE(text(7), text(8));
 }
 
 }  // namespace
