@@ -1,6 +1,7 @@
 // Whole-epoch analysis scaling: the AnalysisEngine fanning checked
 // per-procedure analysis over every (image, procedure) pair of an epoch,
-// and the content-addressed result cache skipping all of it on a re-run.
+// and the per-procedure result cache skipping all of it on a re-run, and
+// all but the changed procedure after one procedure's samples grow.
 //
 // The paper's bargain (Section 6) is cheap collection paid for by heavy
 // offline analysis; this bench measures the two levers that keep the
@@ -8,19 +9,28 @@
 // incremental re-analysis (the .cache directory).
 //
 // Columns: wall-clock for jobs=1 (no cache), jobs=4 (no cache), a cold
-// cache-populating run, and a warm re-run. Gates:
-//   - warm re-run >= 10x over the jobs=1 baseline (always enforced)
+// cache-populating run, a warm re-run, and an incremental re-run after
+// samples are added inside one procedure of one image's CYCLES profile.
+// Gates:
+//   - warm re-run >= 10x over the jobs=1 baseline (enforced outside
+//     --smoke)
 //   - jobs=4 >= 3x over jobs=1 (enforced only when the host has >= 4
 //     cores; on smaller hosts the workers time-share and the ratio is
 //     meaningless, so it is reported but not gated)
+//   - the incremental re-run misses exactly the changed procedure, hits
+//     every other, matches a no-cache run on the changed inputs byte for
+//     byte, and leaves the cache's entry count unchanged (always enforced:
+//     it counts, so it holds at any size and speed)
 // Results must be byte-identical across every configuration.
 //
 // Also emits machine-readable BENCH_analysis_scaling.json in the working
 // directory. --smoke shrinks the workload to seconds-scale sizes (CI /
-// sanitizer runs): correctness checks stay, perf gates are skipped.
+// sanitizer runs): correctness and count gates stay, speed gates are
+// skipped.
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -111,6 +121,15 @@ EngineRun RunEngine(const std::vector<AnalysisInput>& inputs,
     run.result_bytes.push_back(SerializeProcedureAnalysis(r.analysis));
   }
   return run;
+}
+
+// The number of cache entries in `dir`.
+size_t CacheEntries(const std::string& dir) {
+  size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    n += entry.path().extension() == ".pac";
+  }
+  return n;
 }
 
 }  // namespace
@@ -217,6 +236,20 @@ int main(int argc, char** argv) {
   EngineRun cold = RunEngine(inputs, config, 1, cache_dir);
   EngineRun warm = RunEngine(inputs, config, 1, cache_dir);
 
+  // A live epoch's next refresh: more samples inside one procedure of the
+  // first image. Only that procedure's entry is stale, and its recompute
+  // replaces it in its slot.
+  const size_t entries_before = CacheEntries(cache_dir);
+  const ProcedureSymbol& touched = slots[0]->image->procedures().back();
+  slots[0]->profiles[0]->AddSamples(slots[0]->image->PcToOffset(touched.start), 7);
+  EngineRun incremental = RunEngine(inputs, config, 1, cache_dir);
+  EngineRun changed = RunEngine(inputs, config, 1, /*cache_dir=*/"");
+  const size_t entries_after = CacheEntries(cache_dir);
+  const bool incremental_matches = incremental.result_bytes == changed.result_bytes;
+  const bool incremental_ok = incremental.cache_misses == 1 &&
+                              incremental.cache_hits == incremental.procedures - 1 &&
+                              incremental_matches && entries_after == entries_before;
+
   bool identical = jobs1.result_bytes == jobs4.result_bytes &&
                    jobs1.result_bytes == cold.result_bytes &&
                    jobs1.result_bytes == warm.result_bytes;
@@ -236,18 +269,30 @@ int main(int argc, char** argv) {
   add("jobs=4, no cache", jobs4, parallel_speedup);
   add("jobs=1, cold cache", cold, 0);
   add("jobs=1, warm cache", warm, warm_speedup);
+  add("jobs=1, incremental", incremental, 0);
   table.Print();
   std::printf("\nimages: %zu  procedures: %zu  host threads: %d\n", inputs.size(),
               jobs1.procedures, host_threads);
   std::printf("results byte-identical across configurations: %s\n",
               identical ? "yes" : "NO");
+  std::printf("incremental re-run (%s changed): %llu miss(es), %llu hit(s), "
+              "%zu -> %zu cache entries, %s a no-cache run\n",
+              touched.name.c_str(), static_cast<unsigned long long>(incremental.cache_misses),
+              static_cast<unsigned long long>(incremental.cache_hits), entries_before,
+              entries_after, incremental_matches ? "matches" : "DIFFERS FROM");
 
   // Gates. Parallel speedup needs real cores; the warm-cache gate does not.
   const bool enforce_parallel = !smoke && host_threads >= 4;
   const bool enforce_warm = !smoke;
-  bool pass = identical && warm_all_hits;
+  bool pass = identical && warm_all_hits && incremental_ok;
   if (!warm_all_hits) {
     std::printf("warm re-run was not served fully from cache (FAIL)\n");
+  }
+  if (!incremental_ok) {
+    std::fprintf(stderr,
+                 "GATE FAILED: incremental re-run needs 1 miss, %zu hits, results equal "
+                 "to a no-cache run and %zu cache entries\n",
+                 incremental.procedures - 1, entries_before);
   }
   if (enforce_parallel) {
     std::printf("parallel speedup at 4 threads: %.2fx %s\n", parallel_speedup,
@@ -266,7 +311,7 @@ int main(int argc, char** argv) {
     std::printf("warm-cache speedup: %.2fx (not gated: --smoke)\n", warm_speedup);
   }
 
-  char json[1024];
+  char json[2048];
   std::snprintf(json, sizeof(json),
                 "{\n"
                 "  \"bench\": \"analysis_scaling\",\n"
@@ -284,13 +329,25 @@ int main(int argc, char** argv) {
                 "  \"warm_gate_enforced\": %s,\n"
                 "  \"byte_identical\": %s,\n"
                 "  \"warm_all_hits\": %s,\n"
+                "  \"incremental_ms\": %.3f,\n"
+                "  \"incremental_hits\": %llu,\n"
+                "  \"incremental_misses\": %llu,\n"
+                "  \"incremental_matches_no_cache\": %s,\n"
+                "  \"cache_entries_before\": %zu,\n"
+                "  \"cache_entries_after\": %zu,\n"
+                "  \"incremental_gate\": %s,\n"
                 "  \"pass\": %s\n"
                 "}\n",
                 smoke ? "true" : "false", host_threads, inputs.size(),
                 jobs1.procedures, jobs1.ms, jobs4.ms, cold.ms, warm.ms,
                 parallel_speedup, enforce_parallel ? "true" : "false", warm_speedup,
                 enforce_warm ? "true" : "false", identical ? "true" : "false",
-                warm_all_hits ? "true" : "false", pass ? "true" : "false");
+                warm_all_hits ? "true" : "false", incremental.ms,
+                static_cast<unsigned long long>(incremental.cache_hits),
+                static_cast<unsigned long long>(incremental.cache_misses),
+                incremental_matches ? "true" : "false", entries_before, entries_after,
+                incremental_ok ? "true" : "false",
+                pass ? "true" : "false");
   std::ofstream("BENCH_analysis_scaling.json") << json;
   std::printf("\nwrote BENCH_analysis_scaling.json\n");
   return pass ? 0 : 1;

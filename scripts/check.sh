@@ -167,7 +167,7 @@ fi
 if [[ "$RUN_ASAN" == 1 ]]; then
   ASAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    ASAN_FILTER="ParallelFor|ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|CpuTiming|KernelSmoke|Cache|Tlb|WriteBuffer|Isa|SimGolden|ProcessRelease|Session"
+    ASAN_FILTER="ParallelFor|ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|Fnv1a64|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|CpuTiming|KernelSmoke|Cache|Tlb|WriteBuffer|Isa|SimGolden|ProcessRelease|Session"
   fi
   # -fno-sanitize-recover makes undefined behaviour fail the test that hits
   # it instead of only printing a report.

@@ -1,9 +1,11 @@
 #include "src/analysis/engine.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -11,21 +13,20 @@
 #include "src/profiledb/database.h"
 #include "src/support/binary_io.h"
 #include "src/support/crc32.h"
+#include "src/support/fnv1a.h"
 #include "src/support/parallel_for.h"
 
 namespace dcpi {
 
 namespace {
 
-// Cache-entry header: magic, format version, then the full key. Bump the
-// version whenever the payload layout changes; old entries then miss.
+// Cache-entry header: magic, format version, then the 64-bit key. Bump the
+// version whenever the header or payload layout changes; old entries then
+// miss.
 constexpr uint32_t kCacheMagic = 0x43415044;  // "DPAC"
-// v2: profile inputs may carry the version-4 memory axis (the profile-set
-// CRC covers the serialized bytes, but the bump makes the invalidation
-// explicit across the format change).
-// v3: the profile-set CRC chains each profile's CRC32 trailer instead of
-// hashing its trailer-free bytes, so entries keyed the old way miss once.
-constexpr uint8_t kCacheVersion = 3;
+// v4: one 64-bit key over the procedure's own samples, in place of the
+// image, profile-set and config CRC32s.
+constexpr uint8_t kCacheVersion = 4;
 
 void PutF64(ByteWriter* w, double v) {
   uint64_t bits = 0;
@@ -453,47 +454,88 @@ Result<ProcedureAnalysis> DeserializeProcedureAnalysis(
   return analysis;
 }
 
-uint32_t ImageContentCrc(const ExecutableImage& image) {
-  // Hash only what analysis consumes: the name, text placement, the
-  // instruction words, and the procedure symbol table. The data section
-  // (multi-megabyte for some workloads) never feeds analysis, and hashing
-  // a full image serialization would sit on every cached run's critical
-  // path.
-  ByteWriter header;
-  header.PutU8(1);  // key layout version
-  header.PutString(image.name());
-  header.PutU64(image.text_base());
-  header.PutVarint(image.text().size());
-  uint32_t crc = Crc32(header.bytes());
-  crc = Crc32(reinterpret_cast<const uint8_t*>(image.text().data()),
-              image.text().size() * sizeof(uint32_t), crc);
-  ByteWriter symbols;
-  symbols.PutVarint(image.procedures().size());
-  for (const ProcedureSymbol& proc : image.procedures()) {
-    symbols.PutString(proc.name);
-    symbols.PutU64(proc.start);
-    symbols.PutU64(proc.end);
+namespace {
+
+uint32_t Fold32(uint64_t hash) { return static_cast<uint32_t>(hash ^ (hash >> 32)); }
+
+void HashSymbol(const ProcedureSymbol& proc, Fnv1a64* h) {
+  h->Str(proc.name);
+  h->U64(proc.start);
+  h->U64(proc.end);
+}
+
+// Hashes only what analysis consumes: the name, text placement, the
+// instruction words, and the procedure symbol table. The data section
+// (multi-megabyte for some workloads) never feeds analysis, and hashing a
+// full image serialization would sit on every cached run's critical path.
+uint64_t ImageContentHash(const ExecutableImage& image) {
+  Fnv1a64 h;
+  h.U8(1);  // key layout version
+  h.Str(image.name());
+  h.U64(image.text_base());
+  h.U64(image.text().size());
+  h.Bytes(image.text().data(), image.text().size() * sizeof(uint32_t));
+  h.U64(image.procedures().size());
+  for (const ProcedureSymbol& proc : image.procedures()) HashSymbol(proc, &h);
+  return h.value();
+}
+
+// Feeds `h` everything analyzing `proc` reads from the input's profiles: for
+// each event slot a presence byte (a null profile and an empty one analyze
+// differently), and for a present profile its mean period and the on-grid,
+// nonzero (offset, count) pairs in the procedure's range — the same range
+// walk as ImageProfile::ExtractDense, so exactly what it hands the analyzer.
+// Each pair is marked and the list terminated, so the bytes are canonical.
+void HashProcedureSamples(const AnalysisInput& input, const ProcedureSymbol& proc,
+                          Fnv1a64* h) {
+  const uint64_t begin = input.image->PcToOffset(proc.start);
+  const uint64_t end = input.image->PcToOffset(proc.end);
+  for (const ImageProfile* profile :
+       {input.cycles, input.imiss, input.dmiss, input.branchmp, input.dtbmiss}) {
+    h->U8(profile != nullptr);
+    if (profile == nullptr) continue;
+    uint64_t period = 0;
+    const double mean_period = profile->mean_period();
+    std::memcpy(&period, &mean_period, sizeof(period));
+    h->U64(period);
+    const std::map<uint64_t, uint64_t>& counts = profile->counts();
+    for (auto it = counts.lower_bound(begin); it != counts.end() && it->first < end;
+         ++it) {
+      if ((it->first - begin) % kInstrBytes != 0 || it->second == 0) continue;
+      h->U8(1);
+      h->U64(it->first);
+      h->U64(it->second);
+    }
+    h->U8(0);
   }
-  return Crc32(symbols.bytes().data(), symbols.bytes().size(), crc);
+}
+
+// The key of `proc`'s entry: what its analysis reads, and nothing else.
+uint64_t ProcedureKey(uint64_t image_hash, uint64_t config_fp, const AnalysisInput& input,
+                      const ProcedureSymbol& proc) {
+  Fnv1a64 h;
+  h.U64(image_hash);
+  h.U64(config_fp);
+  HashSymbol(proc, &h);
+  HashProcedureSamples(input, proc, &h);
+  return h.value();
+}
+
+}  // namespace
+
+uint32_t ImageContentCrc(const ExecutableImage& image) {
+  return Fold32(ImageContentHash(image));
 }
 
 uint32_t ProfileSetCrc(const AnalysisInput& input) {
-  uint32_t crc = 0;
-  for (const ImageProfile* profile :
-       {input.cycles, input.imiss, input.dmiss, input.branchmp, input.dtbmiss}) {
-    const uint8_t present = profile != nullptr;
-    crc = Crc32(&present, 1, crc);
-    if (!profile) continue;
-    // Chain the profile's own CRC32 trailer, not its whole serialization:
-    // CRC(m || crc(m)) is a content-independent residue, so hashing the
-    // checksummed bytes would make two same-length profiles collide.
-    std::vector<uint8_t> bytes = SerializeProfile(*profile);
-    crc = Crc32(bytes.data() + bytes.size() - 4, 4, crc);
+  Fnv1a64 h;
+  for (const ProcedureSymbol& proc : input.image->procedures()) {
+    HashProcedureSamples(input, proc, &h);
   }
-  return crc;
+  return Fold32(h.value());
 }
 
-uint32_t ConfigFingerprint(const AnalysisConfig& config) {
+uint64_t ConfigFingerprint(const AnalysisConfig& config) {
   ByteWriter w;
   w.PutU8(1);  // fingerprint layout version
   const PipelineConfig& p = config.pipeline;
@@ -523,34 +565,30 @@ uint32_t ConfigFingerprint(const AnalysisConfig& config) {
   w.PutU64(static_cast<uint64_t>(t.max_propagation_passes));
   w.PutU64(t.min_nonleading_points);
   w.PutU8(config.selfcheck ? 1 : 0);
-  return Crc32(w.bytes());
+  Fnv1a64 h;
+  h.Bytes(w.bytes().data(), w.bytes().size());
+  return h.value();
 }
 
-std::string CacheEntryPath(const std::string& cache_dir, uint32_t image_crc,
-                           uint32_t profiles_crc, uint32_t config_fp,
-                           const ProcedureSymbol& proc) {
-  ByteWriter w;
-  w.PutString(proc.name);
-  w.PutU64(proc.start);
-  w.PutU64(proc.end);
-  const uint32_t proc_crc = Crc32(w.bytes());
-  char name[64];
-  std::snprintf(name, sizeof(name), "%08x%08x%08x-%08x.pac", image_crc,
-                profiles_crc, config_fp, proc_crc);
+std::string CacheEntryPath(const std::string& cache_dir, const std::string& image_name,
+                           uint64_t config_fp, const ProcedureSymbol& proc) {
+  Fnv1a64 h;
+  h.Str(image_name);
+  h.U64(config_fp);
+  HashSymbol(proc, &h);
+  char name[32];
+  std::snprintf(name, sizeof(name), "%016" PRIx64 ".pac", h.value());
   return (std::filesystem::path(cache_dir) / name).string();
 }
 
 namespace {
 
-std::vector<uint8_t> BuildCacheEntry(uint32_t image_crc, uint32_t profiles_crc,
-                                     uint32_t config_fp, const ProcedureSymbol& proc,
+std::vector<uint8_t> BuildCacheEntry(uint64_t key, const ProcedureSymbol& proc,
                                      const ProcedureAnalysis& analysis) {
   ByteWriter w;
   w.PutU32(kCacheMagic);
   w.PutU8(kCacheVersion);
-  w.PutU32(image_crc);
-  w.PutU32(profiles_crc);
-  w.PutU32(config_fp);
+  w.PutU64(key);
   w.PutString(proc.name);
   w.PutU64(proc.start);
   w.PutU64(proc.end);
@@ -564,12 +602,11 @@ std::vector<uint8_t> BuildCacheEntry(uint32_t image_crc, uint32_t profiles_crc,
   return bytes;
 }
 
-// Loads a cache entry; any failure (missing file, bad checksum, key
-// mismatch from a filename collision, malformed payload) is a miss.
-bool LoadCacheEntry(const std::string& path, uint32_t image_crc,
-                    uint32_t profiles_crc, uint32_t config_fp,
-                    const ProcedureSymbol& proc, const ExecutableImage& image,
-                    ProcedureAnalysis* out) {
+// Loads a cache entry; any failure (missing file, bad checksum, a key that
+// differs because the slot holds other inputs' analysis, malformed
+// payload) is a miss.
+bool LoadCacheEntry(const std::string& path, uint64_t key, const ProcedureSymbol& proc,
+                    const ExecutableImage& image, ProcedureAnalysis* out) {
   std::vector<uint8_t> bytes;
   if (!ReadFile(path, &bytes).ok()) return false;
   if (bytes.size() < 4) return false;
@@ -578,13 +615,12 @@ bool LoadCacheEntry(const std::string& path, uint32_t image_crc,
   if (!trailer.GetU32(&stored_crc).ok()) return false;
   if (Crc32(bytes.data(), bytes.size() - 4) != stored_crc) return false;
   ByteReader r(bytes.data(), bytes.size() - 4);
-  uint32_t magic = 0, key = 0;
+  uint32_t magic = 0;
   uint8_t version = 0;
+  uint64_t stored_key = 0;
   if (!r.GetU32(&magic).ok() || magic != kCacheMagic) return false;
   if (!r.GetU8(&version).ok() || version != kCacheVersion) return false;
-  if (!r.GetU32(&key).ok() || key != image_crc) return false;
-  if (!r.GetU32(&key).ok() || key != profiles_crc) return false;
-  if (!r.GetU32(&key).ok() || key != config_fp) return false;
+  if (!r.GetU64(&stored_key).ok() || stored_key != key) return false;
   std::string name;
   uint64_t start = 0, end = 0;
   if (!r.GetString(&name).ok() || name != proc.name) return false;
@@ -637,27 +673,18 @@ void AnalysisEngine::AddTasks(const std::vector<AnalysisInput>& inputs,
 
 void AnalysisEngine::Run(const std::vector<Task>& tasks,
                          const AnalysisConfig& config) {
-  // Keys are per input, not per procedure, and inputs of one call share
-  // images (AnalyzeDatabase's epochs), so each is hashed once, here.
-  struct Key {
-    uint32_t image_crc = 0;
-    uint32_t profiles_crc = 0;
-  };
-  std::vector<Key> keys(tasks.size());
-  std::unordered_map<const ExecutableImage*, uint32_t> image_crcs;
-  const AnalysisInput* keyed = nullptr;
-  Key key;
+  // Inputs of one call share images (AnalyzeDatabase's epochs), so each
+  // distinct image is hashed once, here; each task hashes its own
+  // procedure's samples in its worker.
+  std::vector<uint64_t> image_hashes(tasks.size());
+  std::unordered_map<const ExecutableImage*, uint64_t> hashed;
   const std::string* made = nullptr;
   for (size_t t = 0; t < tasks.size(); ++t) {
     const Task& task = tasks[t];
     if (task.cache_dir->empty() || task.input->cycles == nullptr) continue;
-    if (task.input != keyed) {
-      keyed = task.input;
-      auto [crc, fresh] = image_crcs.try_emplace(task.input->image.get());
-      if (fresh) crc->second = ImageContentCrc(*task.input->image);
-      key = Key{crc->second, ProfileSetCrc(*task.input)};
-    }
-    keys[t] = key;
+    auto [hash, fresh] = hashed.try_emplace(task.input->image.get());
+    if (fresh) hash->second = ImageContentHash(*task.input->image);
+    image_hashes[t] = hash->second;
     if (task.cache_dir != made) {
       made = task.cache_dir;
       // An unwritable cache directory degrades to cache-off behaviour:
@@ -666,7 +693,7 @@ void AnalysisEngine::Run(const std::vector<Task>& tasks,
       std::filesystem::create_directories(*made, ec);
     }
   }
-  const uint32_t config_fp = ConfigFingerprint(config);
+  const uint64_t config_fp = ConfigFingerprint(config);
 
   std::vector<AnalysisScratch> scratch(
       std::min(tasks.size(), static_cast<size_t>(jobs_)));
@@ -681,12 +708,12 @@ void AnalysisEngine::Run(const std::vector<Task>& tasks,
       return;
     }
     const bool cache = !task.cache_dir->empty();
+    uint64_t key = 0;
     std::string path;
     if (cache) {
-      path = CacheEntryPath(*task.cache_dir, keys[t].image_crc,
-                            keys[t].profiles_crc, config_fp, *task.proc);
-      if (LoadCacheEntry(path, keys[t].image_crc, keys[t].profiles_crc,
-                         config_fp, *task.proc, *input.image, &out->analysis)) {
+      key = ProcedureKey(image_hashes[t], config_fp, input, *task.proc);
+      path = CacheEntryPath(*task.cache_dir, out->image_name, config_fp, *task.proc);
+      if (LoadCacheEntry(path, key, *task.proc, *input.image, &out->analysis)) {
         out->from_cache = true;
         out->status = Status::Ok();
         return;
@@ -700,9 +727,9 @@ void AnalysisEngine::Run(const std::vector<Task>& tasks,
     out->analysis = std::move(result).value();
     if (cache) {
       // Best effort: a failed store just means the next run recomputes.
-      Status stored = WriteFileAtomic(
-          path, BuildCacheEntry(keys[t].image_crc, keys[t].profiles_crc,
-                                config_fp, *task.proc, out->analysis));
+      // A store replaces whatever the slot held.
+      Status stored =
+          WriteFileAtomic(path, BuildCacheEntry(key, *task.proc, out->analysis));
       (void)stored;
     }
   });

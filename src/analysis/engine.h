@@ -1,4 +1,4 @@
-// Parallel analysis engine with a content-addressed result cache.
+// Parallel analysis engine with a per-procedure result cache.
 //
 // The offline tools (dcpicalc, dcpicheck) analyze (image, procedure)
 // pairs. The pairs are independent, so every engine call builds its whole
@@ -10,15 +10,19 @@
 // --jobs. The engine reports per-procedure results only; it keeps no
 // summary across epochs.
 //
-// The cache is content-addressed: an entry's identity is
-//   (CRC32 of the serialized image, CRC32 over the serialized profile set,
-//    CRC32 fingerprint of the AnalysisConfig, procedure name/start/end),
-// so any change to the inputs or tuning produces a different key and a
-// clean miss — there is no invalidation protocol. Entries live as one file
-// per procedure under a cache directory, carry the full key plus a CRC32
-// trailer, and are ignored (recomputed and rewritten) when corrupt. A
-// call creates a cache directory only for a procedure it analyzes through
-// it, so analysis never creates an epoch directory.
+// The cache keeps one entry per (image name, config fingerprint,
+// procedure) in a file named by a hash of those: its slot. The entry is
+// keyed by one 64-bit hash of what that procedure's analysis reads — the
+// image content, the config fingerprint, the procedure symbol, and for
+// each event profile its presence, mean period and the procedure's own
+// sample counts — and echoes the key in its header. A lookup whose echoed
+// key differs is a miss; the recompute replaces the slot's entry. So a
+// sample added to one procedure re-analyzes only that procedure, and a
+// cache directory never holds more entries than procedures analyzed
+// through it. Entries carry a CRC32 trailer and are ignored (recomputed
+// and rewritten) when corrupt. A call creates a cache directory only for
+// a procedure it analyzes through it, so analysis never creates an epoch
+// directory.
 
 #ifndef SRC_ANALYSIS_ENGINE_H_
 #define SRC_ANALYSIS_ENGINE_H_
@@ -52,7 +56,10 @@ struct AnalysisInput {
 // The per-procedure analysis callback. Defaults to AnalyzeProcedure;
 // dcpicheck and dcpicalc pass AnalyzeProcedureChecked (the engine cannot
 // name it directly: src/check links against src/analysis, not vice versa).
-// Must be thread-safe for distinct procedures.
+// Must be thread-safe for distinct procedures. With a cache it may read
+// from the profiles only what both of those read: the mean periods and
+// the counts inside the procedure's own range (the cache key covers
+// nothing else).
 using AnalyzeFn = std::function<Result<ProcedureAnalysis>(
     const ExecutableImage&, const ProcedureSymbol&, const ImageProfile&,
     const ImageProfile*, const ImageProfile*, const ImageProfile*,
@@ -77,7 +84,7 @@ struct EpochAnalysis {
   // symbol-table order — identical for every jobs count.
   std::vector<ProcedureResult> procedures;
   uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;  // analyzed fresh (missing or corrupt entry)
+  uint64_t cache_misses = 0;  // analyzed fresh (missing, stale or corrupt entry)
 };
 
 // ---- Incremental whole-database analysis (continuous operation) ----
@@ -85,7 +92,7 @@ struct EpochAnalysis {
 // A continuous run's database is a sequence of sealed epochs. AnalyzeDatabase
 // analyzes each requested epoch through that epoch's own result cache
 // (<db>/epoch_N/.cache), so re-analyzing a grown database only pays for the
-// new epochs.
+// new epochs and, in a live epoch, for the procedures whose samples grew.
 
 struct DatabaseAnalysisOptions {
   // Epochs to analyze, ascending. Empty analyzes none: the caller resolves
@@ -151,8 +158,8 @@ class AnalysisEngine {
                        const std::string& cache_dir, EpochAnalysis* out,
                        std::vector<Task>* tasks);
   // The one runner. On the calling thread it hashes each distinct image
-  // and each input once and creates the cache directories the tasks use;
-  // then it analyzes every task in one ParallelFor.
+  // once and creates the cache directories the tasks use; then it analyzes
+  // every task in one ParallelFor, each task keying its own procedure.
   void Run(const std::vector<Task>& tasks, const AnalysisConfig& config);
 
   EngineOptions options_;
@@ -161,21 +168,26 @@ class AnalysisEngine {
 
 // ---- Cache-key pieces (exposed for tests and tools) ----
 
-// CRC32 of the canonical image serialization: the image content hash.
+// A 32-bit fold of the 64-bit image content hash a cache key starts from:
+// the image name, text placement, instruction words and procedure table
+// (not the data section, which analysis never reads).
 uint32_t ImageContentCrc(const ExecutableImage& image);
 
-// Chained CRC32 over the input's profile set (all five event slots, with
-// presence markers so "no DMISS profile" differs from an empty one).
+// A 32-bit fold of the hashes of every procedure's sample slice in the
+// input (per event slot: presence, mean period, and the procedure's
+// on-grid nonzero counts), so it times the slice hashing a warm pass does.
+// Neither fold keys anything; the benchmark's key-cost probe calls both.
 uint32_t ProfileSetCrc(const AnalysisInput& input);
 
-// CRC32 over every analysis-affecting AnalysisConfig field (pipeline
-// latencies, fill costs, tuning, selfcheck flag, ...).
-uint32_t ConfigFingerprint(const AnalysisConfig& config);
+// 64-bit hash over every analysis-affecting AnalysisConfig field
+// (pipeline latencies, fill costs, tuning, selfcheck flag, ...).
+uint64_t ConfigFingerprint(const AnalysisConfig& config);
 
-// The cache file for a key, under `cache_dir`.
-std::string CacheEntryPath(const std::string& cache_dir, uint32_t image_crc,
-                           uint32_t profiles_crc, uint32_t config_fp,
-                           const ProcedureSymbol& proc);
+// The cache slot for a procedure under `cache_dir`: a file named by a hash
+// of (image name, config fingerprint, procedure name/start/end) only, so
+// each holds the analysis of the last inputs stored for it.
+std::string CacheEntryPath(const std::string& cache_dir, const std::string& image_name,
+                           uint64_t config_fp, const ProcedureSymbol& proc);
 
 // ---- Cache-entry payload (exposed for tests) ----
 //

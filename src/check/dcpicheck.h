@@ -32,8 +32,8 @@ struct DcpicheckOptions {
   ImageLintOptions lint;
   AnalysisConfig analysis;
   // Analysis-engine knobs: worker threads (<1 = hardware concurrency) and
-  // the content-addressed result cache under <db>/epoch_<N>/.cache. The
-  // report is byte-identical for any jobs count and for cold/warm cache.
+  // the per-procedure result cache under <db>/epoch_<N>/.cache. The report
+  // is byte-identical for any jobs count and for cold/warm cache.
   int jobs = 0;
   bool use_cache = true;
 };

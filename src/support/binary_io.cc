@@ -1,6 +1,7 @@
 #include "src/support/binary_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -91,22 +92,20 @@ Status ReadFile(const std::string& path, std::vector<uint8_t>* bytes,
                 size_t max_bytes) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return IoError("cannot open for read: " + path);
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return IoError("cannot seek: " + path);
-  }
-  long size = std::ftell(f);
-  if (size < 0) {
+  // A directory opens for reading too, and its size means nothing.
+  struct stat st {};
+  if (::fstat(fileno(f), &st) != 0) {
     std::fclose(f);
     return IoError("cannot stat: " + path);
   }
-  if (static_cast<unsigned long>(size) > max_bytes) {
+  if (!S_ISREG(st.st_mode)) {
+    std::fclose(f);
+    return IoError("not a regular file: " + path);
+  }
+  const auto size = static_cast<uint64_t>(st.st_size);
+  if (size > max_bytes) {
     std::fclose(f);
     return IoError("file too large (" + std::to_string(size) + " bytes): " + path);
-  }
-  if (std::fseek(f, 0, SEEK_SET) != 0) {
-    std::fclose(f);
-    return IoError("cannot seek: " + path);
   }
   bytes->resize(static_cast<size_t>(size));
   size_t read = size == 0 ? 0 : std::fread(bytes->data(), 1, bytes->size(), f);

@@ -14,9 +14,8 @@
 // Epoch selection is shared with the other tools (toolkit.h): the default
 // is the latest sealed epoch; with several epochs the profiles are merged
 // before analysis. The analysis runs through the AnalysisEngine: results
-// are cached content-addressed under <db_root>/epoch_<N>/.cache for a
-// single epoch (or <db_root>/.cache for a merged set; --no-cache
-// disables). --jobs is accepted like the other tools', but one image and
+// are cached per procedure under <db_root>/epoch_<N>/.cache for a single
+// epoch (or <db_root>/.cache for a merged set; --no-cache disables). --jobs is accepted like the other tools', but one image and
 // one procedure leave nothing to run in parallel.
 
 #include <cstdio>
@@ -112,9 +111,10 @@ int main(int argc, char** argv) {
   EngineOptions engine_options;
   engine_options.jobs = options.jobs;
   if (options.use_cache) {
-    // A merged profile set gets its own cache namespace at the database
-    // root (fleet merges always do — their profiles span hosts); the
-    // content-addressed keys keep it disjoint per epoch set.
+    // A merged profile set gets its own cache at the database root (fleet
+    // merges always do — their profiles span hosts). Every epoch set
+    // shares its one slot per procedure: the key never serves one set the
+    // analysis of another, and switching sets recomputes.
     engine_options.cache_dir = !options.fleet && ctx.epochs.size() == 1
                                    ? ctx.view.host(0).EpochCacheDir(ctx.epochs[0])
                                    : db_root + "/.cache";

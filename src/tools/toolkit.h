@@ -28,7 +28,7 @@ namespace dcpi {
 //                  sealed yet)
 //   --jobs N       workers per parallel step; 1 runs it on the caller
 //                  (default: hardware concurrency; see ParallelFor)
-//   --no-cache     disable the content-addressed analysis result cache
+//   --no-cache     disable the per-procedure analysis result cache
 //   --fleet        treat the database path as a fleet root of host_<id>
 //                  shards and merge across hosts on read
 // With no epoch flag, a tool reads the latest sealed epoch (or the latest

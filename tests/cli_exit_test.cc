@@ -131,6 +131,10 @@ TEST_F(CliExitTest, ContinuousPipelineExitsZeroAndEmptyEpochsExitOne) {
   EXPECT_EQ(RunTool("dcpicheck --all-epochs " + db + all_images), 0);
   EXPECT_EQ(RunTool("dcpidiff " + db + " 0 1" + all_images), 0);
 
+  // An image path that names a directory fails its load.
+  EXPECT_EQ(RunTool("dcpicheck " + db + " " + root_ + "/images"), 1);
+  EXPECT_EQ(RunTool("dcpiprof " + db + " " + root_ + "/images"), 1);
+
   // An epoch with no profiles is a failure, not an empty report.
   EXPECT_EQ(RunTool("dcpiprof --epoch 9999 " + db + " " + image), 1);
   EXPECT_EQ(RunTool("dcpidiff " + db + " 9999 9998 " + image), 1);

@@ -1,7 +1,7 @@
 // Continuous-operation tests: epoch rolls driven by image-map changes,
 // sealed-epoch immutability under a concurrent reader, sample conservation
 // against segmented batch collection, timed flushes, and whole-database
-// re-analysis through the content-addressed result cache.
+// re-analysis through the per-procedure result cache, sealed and live.
 //
 // These tests run under TSan in scripts/check.sh (the Continuous filter):
 // the concurrent-reader test opens the database read-only from a second
@@ -13,8 +13,10 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/engine.h"
@@ -303,6 +305,121 @@ TEST(Continuous, WarmReanalysisHitsTheResultCache) {
     EXPECT_EQ(bytes(warm), want);
     EXPECT_EQ(bytes(plain), want);
   }
+}
+
+// What a procedure's analysis reads from an input's profiles, computed
+// independently of the engine's key: per event slot, nothing for a missing
+// profile, else its mean period and the procedure's dense sample slice.
+using SliceSignature = std::vector<std::optional<std::pair<double, std::vector<uint64_t>>>>;
+
+SliceSignature Signature(const AnalysisInput& input, const ProcedureSymbol& proc) {
+  SliceSignature signature;
+  for (const ImageProfile* profile :
+       {input.cycles, input.imiss, input.dmiss, input.branchmp, input.dtbmiss}) {
+    signature.emplace_back();
+    if (profile == nullptr) continue;
+    std::vector<uint64_t> slice;
+    profile->ExtractDense(input.image->PcToOffset(proc.start),
+                          input.image->PcToOffset(proc.end), kInstrBytes, &slice);
+    signature.back().emplace(profile->mean_period(), std::move(slice));
+  }
+  return signature;
+}
+
+// A live epoch grows between refreshes, and each refresh re-analyzes only
+// the procedures whose own samples changed (or whose image gained an event
+// profile). Every cache directory keeps one entry per (image, procedure),
+// and cached results stay the bytes of an uncached run at any jobs count.
+TEST(Continuous, LiveRefreshReanalyzesOnlyChangedProcedures) {
+  ScratchDir scratch;
+  const std::string& root = scratch.path();
+  WorkloadFactory factory(/*scale=*/0.1);
+  Workload workload = factory.Timesharing(/*num_cpus=*/1);
+  SystemConfig config = ContinuousConfig(root + "/db");
+  config.mode = ProfilingMode::kMux;  // event profiles appear as the run goes
+  config.roll_on_map_change = false;  // one live epoch throughout
+  System system(config);
+  ASSERT_TRUE(workload.Instantiate(&system).ok());
+  const uint32_t live = system.database()->current_epoch();
+  std::vector<std::shared_ptr<const ExecutableImage>> images;
+  for (const ImageTruth& truth : system.kernel().ground_truth().images()) {
+    images.push_back(truth.image);
+  }
+
+  const AnalysisConfig analysis_config;
+  std::map<std::pair<std::string, std::string>, SliceSignature> previous;
+  uint64_t reused = 0, reanalyzed = 0;
+  constexpr uint64_t kSegmentCycles = 150'000;
+  for (uint64_t segment = 1; segment <= 6; ++segment) {
+    SCOPED_TRACE("segment " + std::to_string(segment));
+    // Each capped segment ends in a flush of the live epoch.
+    ASSERT_FALSE(system.Run(segment * kSegmentCycles).had_error);
+    ProfileDatabase db(root + "/db", DbOpenMode::kReadOnly);
+    std::vector<std::unique_ptr<ImageProfile>> profiles;
+    std::vector<AnalysisInput> inputs;
+    for (const auto& image : images) {
+      AnalysisInput input;
+      input.image = image;
+      const ImageProfile** slots[] = {&input.cycles, &input.imiss, &input.dmiss,
+                                      &input.branchmp, &input.dtbmiss};
+      for (int e = 0; e < kNumEventTypes; ++e) {
+        Result<ImageProfile> profile =
+            db.ReadProfile(live, image->name(), static_cast<EventType>(e));
+        if (!profile.ok()) continue;
+        profiles.push_back(std::make_unique<ImageProfile>(std::move(profile).value()));
+        *slots[e] = profiles.back().get();
+      }
+      if (input.cycles != nullptr) inputs.push_back(input);
+    }
+    ASSERT_FALSE(inputs.empty());
+
+    size_t procedures = 0, changed = 0;
+    std::map<std::pair<std::string, std::string>, SliceSignature> current;
+    for (const AnalysisInput& input : inputs) {
+      for (const ProcedureSymbol& proc : input.image->procedures()) {
+        const auto id = std::make_pair(input.image->name(), proc.name);
+        current[id] = Signature(input, proc);
+        auto before = previous.find(id);
+        changed += before == previous.end() || before->second != current[id];
+        ++procedures;
+      }
+    }
+
+    EngineOptions plain_options;
+    plain_options.jobs = 1;
+    const EpochAnalysis plain =
+        AnalysisEngine(plain_options).AnalyzeAll(inputs, analysis_config);
+    for (int jobs : {1, 2, 8}) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs));
+      EngineOptions options;
+      options.jobs = jobs;
+      options.cache_dir = root + "/cache" + std::to_string(jobs);
+      const EpochAnalysis cached = AnalysisEngine(options).AnalyzeAll(inputs, analysis_config);
+      EXPECT_EQ(cached.cache_misses, changed);
+      EXPECT_EQ(cached.cache_hits, procedures - changed);
+      ASSERT_EQ(cached.procedures.size(), plain.procedures.size());
+      for (size_t i = 0; i < plain.procedures.size(); ++i) {
+        ASSERT_TRUE(cached.procedures[i].status.ok());
+        EXPECT_EQ(SerializeProcedureAnalysis(cached.procedures[i].analysis),
+                  SerializeProcedureAnalysis(plain.procedures[i].analysis))
+            << cached.procedures[i].image_name << "/" << cached.procedures[i].proc.name;
+      }
+      size_t entries = 0;
+      for (const auto& entry : std::filesystem::directory_iterator(options.cache_dir)) {
+        entries += entry.path().extension() == ".pac";
+      }
+      EXPECT_EQ(entries, procedures);
+    }
+    if (segment > 1) {
+      reused += procedures - changed;
+      reanalyzed += changed;
+    }
+    previous = std::move(current);
+  }
+  // The run exercised both sides: refreshes that reused entries and
+  // refreshes that re-analyzed some procedures.
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(reanalyzed, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // AnalysisEngine tests: cache-entry serialization round-trips, hit/miss
-// behaviour of the content-addressed cache (identical inputs hit; image,
-// profile, or config changes miss; corrupt entries are recomputed), and
-// byte-identical results regardless of the jobs count.
+// behaviour of the per-procedure cache (identical inputs hit; image,
+// config, or the procedure's own samples changing miss, samples elsewhere
+// do not; a slot holding a corrupt or foreign entry is recomputed and
+// replaced), and byte-identical results regardless of the jobs count.
 
 #include "src/analysis/engine.h"
 
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -64,6 +66,21 @@ AnalysisInput InputFor(const Fixture& f) {
   input.image = f.image;
   input.cycles = &f.cycles;
   return input;
+}
+
+// The number of cache entries under `dir`.
+size_t PacFiles(const std::string& dir) {
+  size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    n += entry.path().extension() == ".pac";
+  }
+  return n;
+}
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
 }
 
 // Canonical bytes of every result, for whole-epoch equality checks.
@@ -219,9 +236,96 @@ TEST(Engine, CacheMissesWhenImageProfileOrConfigChanges) {
   checked.selfcheck = true;
   EXPECT_NE(ConfigFingerprint(config), ConfigFingerprint(checked));
 
-  // The original inputs still hit.
+  // A slot holds the last inputs stored for its procedure. The profile
+  // step stored diamond's changed slice, and straight's original one
+  // (its samples did not change), so the original inputs hit straight
+  // and miss diamond once.
+  EpochAnalysis warm = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
+  EXPECT_EQ(warm.cache_hits, 1u);
+  EXPECT_EQ(warm.cache_misses, 1u);
+  for (const ProcedureResult& r : warm.procedures) {
+    EXPECT_EQ(r.from_cache, r.proc.name == "straight") << r.proc.name;
+  }
+}
+
+TEST(Engine, SamplesOutsideAProcedureLeaveItsEntryHitting) {
+  Fixture f = MakeFixture();
+  AnalysisConfig config;
+  EngineOptions options;
+  ScratchDir scratch;
+  options.cache_dir = scratch.path() + "/cache";
+  AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);  // populate
+  const uint64_t diamond =
+      f.image->PcToOffset(f.image->FindProcedureByName("diamond")->start);
+
+  // New samples inside diamond: only diamond re-analyzes.
+  f.cycles.AddSamples(diamond + kInstrBytes, 4);
+  EpochAnalysis grown = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
+  EXPECT_EQ(grown.cache_hits, 1u);
+  EXPECT_EQ(grown.cache_misses, 1u);
+  for (const ProcedureResult& r : grown.procedures) {
+    EXPECT_EQ(r.from_cache, r.proc.name == "straight") << r.proc.name;
+  }
+  EXPECT_EQ(ResultBytes(grown),
+            ResultBytes(AnalysisEngine().AnalyzeAll({InputFor(f)}, config)));
+  // The miss replaced diamond's entry in its slot.
+  EXPECT_EQ(PacFiles(options.cache_dir), f.image->procedures().size());
+
+  // An offset off the instruction grid names no instruction: the analysis
+  // never sees it, so nothing re-analyzes.
+  f.cycles.AddSamples(diamond + 1, 9);
+  EpochAnalysis off_grid = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
+  EXPECT_EQ(off_grid.cache_hits, off_grid.procedures.size());
+
+  // A present but empty IMISS profile analyzes differently from a missing
+  // one, so it misses every procedure.
+  ImageProfile imiss("t", EventType::kImiss, 100.0);
+  AnalysisInput with_imiss = InputFor(f);
+  with_imiss.imiss = &imiss;
+  EpochAnalysis presence = AnalysisEngine(options).AnalyzeAll({with_imiss}, config);
+  EXPECT_EQ(presence.cache_misses, presence.procedures.size());
+  EXPECT_EQ(ResultBytes(presence),
+            ResultBytes(AnalysisEngine().AnalyzeAll({with_imiss}, config)));
+  EXPECT_EQ(PacFiles(options.cache_dir), f.image->procedures().size());
+}
+
+TEST(Engine, AForeignEntryAtASlotIsReplacedNotServed) {
+  Fixture f = MakeFixture();
+  AnalysisConfig config;
+  EngineOptions options;
+  ScratchDir scratch;
+  options.cache_dir = scratch.path() + "/cache";
+  EpochAnalysis cold = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
+  auto slot = [&](const char* proc) {
+    return CacheEntryPath(options.cache_dir, f.image->name(), ConfigFingerprint(config),
+                          *f.image->FindProcedureByName(proc));
+  };
+  // Two procedures whose slot names collided would find each other's
+  // entry: put diamond's entry in straight's slot.
+  ASSERT_TRUE(std::filesystem::exists(slot("diamond")));
+  ASSERT_TRUE(std::filesystem::copy_file(
+      slot("diamond"), slot("straight"),
+      std::filesystem::copy_options::overwrite_existing));
+
+  EpochAnalysis rerun = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
+  EXPECT_EQ(rerun.cache_hits, 1u);
+  EXPECT_EQ(rerun.cache_misses, 1u);
+  for (const ProcedureResult& r : rerun.procedures) {
+    EXPECT_EQ(r.from_cache, r.proc.name == "diamond") << r.proc.name;
+  }
+  EXPECT_EQ(ResultBytes(rerun), ResultBytes(cold));
+  // The recompute replaced the foreign entry, so the next run hits both.
+  EXPECT_NE(FileBytes(slot("straight")), FileBytes(slot("diamond")));
   EpochAnalysis warm = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
   EXPECT_EQ(warm.cache_hits, warm.procedures.size());
+  EXPECT_EQ(ResultBytes(warm), ResultBytes(cold));
+
+  // A directory at a slot is a plain miss too (and blocks the store).
+  ASSERT_TRUE(std::filesystem::remove(slot("straight")));
+  ASSERT_TRUE(std::filesystem::create_directory(slot("straight")));
+  EpochAnalysis blocked = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
+  EXPECT_EQ(blocked.cache_misses, 1u);
+  EXPECT_EQ(ResultBytes(blocked), ResultBytes(cold));
 }
 
 TEST(Engine, CorruptCacheEntriesAreIgnoredAndRecomputed) {

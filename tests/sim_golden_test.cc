@@ -29,35 +29,12 @@
 #include <vector>
 
 #include "src/profiledb/database.h"
+#include "src/support/fnv1a.h"
 #include "src/workloads/workloads.h"
 #include "tests/scratch_dir.h"
 
 namespace dcpi {
 namespace {
-
-class Fnv1a64 {
- public:
-  void Bytes(const void* data, size_t size) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void U64(uint64_t value) {
-    uint8_t bytes[8];
-    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<uint8_t>(value >> (8 * i));
-    Bytes(bytes, sizeof(bytes));
-  }
-  void Str(const std::string& s) {
-    U64(s.size());
-    Bytes(s.data(), s.size());
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ull;
-};
 
 std::string Hex(uint64_t value) {
   char buf[24];

@@ -1,6 +1,6 @@
 // Support library tests: status/result, RNG properties, binary I/O
-// round trips (property test), CRC32, atomic file writes, strict number
-// parsing, statistics, histograms, text tables.
+// round trips (property test), CRC32, FNV-1a, atomic file writes, strict
+// number parsing, statistics, histograms, text tables.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 
 #include "src/support/binary_io.h"
 #include "src/support/crc32.h"
+#include "src/support/fnv1a.h"
 #include "src/support/parse.h"
 #include "src/support/rng.h"
 #include "src/support/stats.h"
@@ -162,6 +163,47 @@ TEST(BinaryIo, HugeStringLengthIsAnErrorNotAWrapAround) {
   ByteReader reader(writer.bytes());
   std::string s;
   EXPECT_FALSE(reader.GetString(&s).ok());
+}
+
+TEST(BinaryIo, ReadFileRejectsADirectory) {
+  // A directory opens for reading, and ftell of it is LONG_MAX: the read
+  // must name what is wrong, not report a file too large.
+  ScratchDir scratch;
+  std::vector<uint8_t> bytes;
+  Status status = ReadFile(scratch.path(), &bytes);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.message(), "not a regular file: " + scratch.path());
+}
+
+TEST(Fnv1a64, KnownVectorsAndCanonicalFields) {
+  // Reference values of FNV-1a 64 (offset basis, "a", "foobar").
+  EXPECT_EQ(Fnv1a64().value(), 0xcbf29ce484222325ull);
+  Fnv1a64 a;
+  a.Bytes("a", 1);
+  EXPECT_EQ(a.value(), 0xaf63dc4c8601ec8cull);
+  Fnv1a64 foobar;
+  foobar.Bytes("foobar", 6);
+  EXPECT_EQ(foobar.value(), 0x85944171f73967e8ull);
+  // Incremental == one-shot.
+  Fnv1a64 pieces;
+  pieces.Bytes("foo", 3);
+  pieces.Bytes("bar", 3);
+  EXPECT_EQ(pieces.value(), foobar.value());
+  // U8 and U64 feed little-endian bytes, whatever the host's byte order.
+  const uint8_t le[9] = {7, 1, 2, 3, 4, 5, 6, 7, 8};
+  Fnv1a64 raw;
+  raw.Bytes(le, sizeof(le));
+  Fnv1a64 fields;
+  fields.U8(7);
+  fields.U64(0x0807060504030201ull);
+  EXPECT_EQ(fields.value(), raw.value());
+  // Strings are length-prefixed, so moving a boundary changes the hash.
+  Fnv1a64 ab_c, a_bc;
+  ab_c.Str("ab");
+  ab_c.Str("c");
+  a_bc.Str("a");
+  a_bc.Str("bc");
+  EXPECT_NE(ab_c.value(), a_bc.value());
 }
 
 TEST(Crc32, KnownVectorsAndSensitivity) {
