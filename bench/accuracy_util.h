@@ -25,12 +25,30 @@ struct AccuracyCollector {
   uint64_t procedures_skipped = 0;
 };
 
+// A densely sampled run that records the ground truth CollectAccuracy
+// scores against. Profiling is free: densified interrupts would otherwise
+// stretch the very stalls being estimated.
+inline SystemConfig AccuracySpec(ProfilingMode mode, double period_scale) {
+  SystemConfig spec;
+  spec.kernel.record_ground_truth = true;
+  spec.mode = mode;
+  spec.period_scale = period_scale;
+  spec.free_profiling = true;
+  return spec;
+}
+
 // Analyzes every procedure with at least `min_samples` CYCLES samples in
-// every image of the run and accumulates estimate-vs-truth errors.
+// every image of the run and accumulates estimate-vs-truth errors. The run
+// must have recorded ground truth (AccuracySpec).
 inline void CollectAccuracy(System& system, uint64_t min_samples,
                             AccuracyCollector* collector) {
   const GroundTruth& gt = system.kernel().ground_truth();
   for (const ImageTruth& truth : gt.images()) {
+    if (truth.instructions.size() != truth.image->num_instructions()) {
+      std::fprintf(stderr, "FATAL: no ground truth recorded for %s\n",
+                   truth.image->name().c_str());
+      std::exit(1);
+    }
     const ImageProfile* cycles =
         system.daemon()->FindProfile(truth.image->name(), EventType::kCycles);
     if (cycles == nullptr) continue;

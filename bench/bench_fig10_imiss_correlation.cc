@@ -34,6 +34,7 @@ int main() {
 
   for (Workload& workload : suite) {
     SystemConfig spec;
+    spec.kernel.record_ground_truth = true;  // true I-cache miss events
     spec.mode = ProfilingMode::kDefault;  // IMISS monitored
     spec.period_scale = 1.0 / 16;
     spec.free_profiling = true;

@@ -21,6 +21,7 @@ int main() {
   WorkloadFactory factory(/*scale=*/1.0);
   Workload workload = factory.McCalpin(StreamKernel::kCopy);
   SystemConfig spec;
+  spec.kernel.record_ground_truth = true;  // the true-count column
   spec.mode = ProfilingMode::kCycles;
   spec.period_scale = 1.0 / 16;
   spec.free_profiling = true;

@@ -21,11 +21,8 @@ int main() {
 
   AccuracyCollector collector;
   for (Workload& workload : AccuracySuite(/*scale=*/0.5, /*seed=*/1)) {
-    SystemConfig spec;
-    spec.mode = ProfilingMode::kDefault;
-    spec.period_scale = 1.0 / 16;
-    spec.free_profiling = true;
-    RunOutput run = RunProfiled(workload, spec);
+    RunOutput run =
+        RunProfiled(workload, AccuracySpec(ProfilingMode::kDefault, 1.0 / 16));
     CollectAccuracy(*run.system, /*min_samples=*/200, &collector);
   }
 

@@ -29,11 +29,8 @@ int main() {
     AccuracyCollector collector;
     WorkloadFactory factory(/*scale=*/0.4, /*seed=*/1);
     Workload workload = factory.SpecIntLike();
-    SystemConfig spec;
-    spec.mode = ProfilingMode::kCycles;
-    spec.period_scale = 1.0 / (4.0 * runs);
-    spec.free_profiling = true;
-    RunOutput run = RunProfiled(workload, spec);
+    RunOutput run =
+        RunProfiled(workload, AccuracySpec(ProfilingMode::kCycles, 1.0 / (4.0 * runs)));
 
     auto start = std::chrono::steady_clock::now();
     CollectAccuracy(*run.system, /*min_samples=*/100, &collector);

@@ -11,7 +11,9 @@
 // and score both against the simulator's exact edge counts.
 //
 // Expected shape: double sampling is markedly more accurate on branches
-// whose two targets are in the same frequency-equivalence blind spot.
+// whose two targets are in the same frequency-equivalence blind spot. Gate
+// (exit 1): at least 5 branches are scored, and double sampling's mean
+// error is at most flow propagation's.
 
 #include <cmath>
 
@@ -37,6 +39,7 @@ int main() {
 
   for (Workload& workload : suite) {
     SystemConfig config;
+    config.kernel.record_ground_truth = true;  // exact taken fractions
     config.mode = ProfilingMode::kCycles;
     config.period_scale = 1.0 / 32;
     config.free_profiling = true;
@@ -128,5 +131,23 @@ int main() {
   std::printf("\npaper: proposal only; no published numbers. Shape expectation:\n"
               "double sampling should not be worse, and helps where equivalence\n"
               "classes leave branch biases unconstrained.\n");
+
+  constexpr int kMinBranches = 5;
+  if (branches < kMinBranches) {
+    std::fprintf(stderr,
+                 "GATE FAILED: conditional branches scored: %d, need at least %d\n",
+                 branches, kMinBranches);
+    return 1;
+  }
+  if (edge_err.mean() > flow_err.mean()) {
+    std::fprintf(stderr,
+                 "GATE FAILED: double sampling (Sec 7) mean error %.3f exceeds flow "
+                 "propagation's %.3f\n",
+                 edge_err.mean(), flow_err.mean());
+    return 1;
+  }
+  std::printf("gate passed: %d branches scored, double sampling no worse than flow "
+              "propagation\n",
+              branches);
   return 0;
 }

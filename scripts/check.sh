@@ -23,7 +23,11 @@
 #   caches, TLBs, write buffer, ISA, golden digests) under ASan (the full
 #   suites are slow on small hosts). Both filters include ParallelFor,
 #   whose per-call threads work on the caller's stack frame until they are
-#   joined. Both also include ProcessRelease:
+#   joined. Both also include PerfCounters, DoubleSampling, IssueHorizon
+#   and TruthOnRequest: their 2-CPU cases run the counters' issue horizon
+#   and an unrecorded kernel on the per-CPU worker threads, and an
+#   unrecorded run must never index the registry's empty truth vectors.
+#   Both also include ProcessRelease:
 #   under TSan an exited process's address space is released on the
 #   per-CPU worker threads, and under ASan a memo left pointing into a
 #   released page would be a use-after-free. Both also include Session:
@@ -159,7 +163,7 @@ run_config() {
 if [[ "$RUN_TSAN" == 1 ]]; then
   TSAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    TSAN_FILTER="DriverConcurrency|MpDeterminism|PipelineIntegration|DcpiDriver|KernelSched|ParallelFor|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|MemorySection|SimGolden|ProcessRelease|Session"
+    TSAN_FILTER="DriverConcurrency|MpDeterminism|PipelineIntegration|DcpiDriver|KernelSched|ParallelFor|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|MemorySection|SimGolden|ProcessRelease|Session|PerfCounters|DoubleSampling|IssueHorizon|TruthOnRequest"
   fi
   run_config build-tsan "-fsanitize=thread -O1 -g -fno-omit-frame-pointer" "$TSAN_FILTER"
 fi
@@ -167,7 +171,7 @@ fi
 if [[ "$RUN_ASAN" == 1 ]]; then
   ASAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    ASAN_FILTER="ParallelFor|ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|Fnv1a64|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|CpuTiming|KernelSmoke|Cache|Tlb|WriteBuffer|Isa|SimGolden|ProcessRelease|Session"
+    ASAN_FILTER="ParallelFor|ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|Fnv1a64|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|CpuTiming|KernelSmoke|Cache|Tlb|WriteBuffer|Isa|SimGolden|ProcessRelease|Session|PerfCounters|DoubleSampling|IssueHorizon|TruthOnRequest"
   fi
   # -fno-sanitize-recover makes undefined behaviour fail the test that hits
   # it instead of only printing a report.

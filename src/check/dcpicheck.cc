@@ -23,7 +23,7 @@ struct ImageEntry {
 
 }  // namespace
 
-CheckReport RunDcpicheck(const DcpicheckOptions& options) {
+CheckReport RunDcpicheck(const DcpicheckOptions& options, size_t* analyzed_pairs) {
   // Read-only: dcpicheck may run against a database a daemon is still
   // writing, and must never quarantine its in-flight files.
   ProfileDatabase db(options.db_root, DbOpenMode::kReadOnly);
@@ -68,7 +68,11 @@ CheckReport RunDcpicheck(const DcpicheckOptions& options) {
     std::vector<size_t> first_result;
   };
   std::vector<EpochIndex> epoch_index(analyzed.per_epoch.size());
+  if (analyzed_pairs != nullptr) *analyzed_pairs = 0;
   for (size_t e = 0; e < analyzed.per_epoch.size(); ++e) {
+    if (analyzed_pairs != nullptr) {
+      *analyzed_pairs += analyzed.per_epoch[e].analyzed_images.size();
+    }
     epoch_index[e].first_result.assign(images.size(), SIZE_MAX);
     size_t offset = 0;
     for (size_t image : analyzed.per_epoch[e].analyzed_images) {

@@ -6,11 +6,12 @@
 // procedure is analyzed and passes 2-5 (CFG structure, differential cycle
 // equivalence, flow conservation, schedule invariants) run over the
 // analysis. The report collects every violation; callers exit non-zero
-// when report.ok() is false.
+// when report.ok() is false, or when nothing was analyzed at all.
 
 #ifndef SRC_CHECK_DCPICHECK_H_
 #define SRC_CHECK_DCPICHECK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,7 +39,10 @@ struct DcpicheckOptions {
   bool use_cache = true;
 };
 
-CheckReport RunDcpicheck(const DcpicheckOptions& options);
+// When `analyzed_pairs` is not null it receives how many (image, epoch) pairs
+// had a CYCLES profile and were analyzed; 0 means the passes ran nowhere.
+CheckReport RunDcpicheck(const DcpicheckOptions& options,
+                         size_t* analyzed_pairs = nullptr);
 
 }  // namespace dcpi
 

@@ -222,9 +222,10 @@ bool Cpu::Step(ExecContext& ctx, RegFile& regs, uint32_t pid) {
   }
 
   // Samples: the head interval (prev_issue_event, issue_time] belongs to
-  // this instruction. The monitor may stretch the stall with handler time.
-  if (new_group && monitor_ != nullptr) {
-    uint64_t adjusted = monitor_->OnIssue(pid, pc, prev_issue_event, issue_time);
+  // this instruction. The monitor may stretch the stall with handler time;
+  // before its issue horizon it has nothing to deliver, so it is not called.
+  if (new_group && monitor_ != nullptr && issue_time >= monitor_->issue_horizon()) {
+    uint64_t adjusted = monitor_->OnIssue(pid, pc, issue_time);
     if (adjusted > issue_time) {
       fetch_time_ += adjusted - issue_time;
       issue_time = adjusted;

@@ -8,10 +8,13 @@
 // CYCLES sampling observes: the sampled PC six cycles after a counter
 // overflow is the head-of-queue instruction (Section 4.1.2).
 //
-// The CPU reports head intervals and discrete events to a PerfMonitor (the
-// performance-counter subsystem) and, optionally, exact per-instruction
-// execution counts and stall attributions to a GroundTruth recorder (the
-// dcpix role).
+// The CPU reports discrete events to a PerfMonitor (the performance-
+// counter subsystem) and calls its OnIssue only for issue groups at or past
+// the monitor's issue horizon, the earliest time a sample can be due; the
+// groups before it cost one compare, not a call. Optionally it records
+// exact per-instruction execution counts and stall attributions into a
+// GroundTruth recorder (the dcpix role); nothing reads the recorder back
+// into the simulation, so attaching one changes no simulated byte.
 
 #ifndef SRC_CPU_CPU_H_
 #define SRC_CPU_CPU_H_
@@ -69,6 +72,7 @@ class Cpu {
   // Both optional; may be set/cleared between runs.
   void set_monitor(PerfMonitor* monitor) { monitor_ = monitor; }
   void set_ground_truth(GroundTruth* ground_truth) { ground_truth_ = ground_truth; }
+  const GroundTruth* ground_truth() const { return ground_truth_; }
 
   // Runs `ctx` until it halts, yields, exceeds `max_cycles` of CPU time, or
   // executes `max_instructions`. Time continues from the previous run.

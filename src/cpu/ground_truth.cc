@@ -40,7 +40,7 @@ const char* StallCauseName(StallCause cause) {
 
 void GroundTruth::AddImage(std::shared_ptr<const ExecutableImage> image) {
   ImageTruth truth;
-  truth.instructions.resize(image->num_instructions());
+  if (record_) truth.instructions.resize(image->num_instructions());
   truth.image = std::move(image);
   images_.push_back(std::move(truth));
   std::sort(images_.begin(), images_.end(), [](const ImageTruth& a, const ImageTruth& b) {

@@ -5,7 +5,14 @@
 // This plays the role the paper's dcpix (pixie-like instrumentation) plays
 // in Section 6.2: an exact reference against which the sample-based
 // frequency estimates and culprit analysis are validated (Figures 8-10).
-// The analysis tools never read it.
+// The analysis tools never read it, and the simulation never reads it back.
+//
+// Like the paper's separate instrumented runs, recording is on request: a
+// GroundTruth built with `record` false is only an image registry. It
+// lists every registered image in text-base order, but sizes no counters,
+// so its `instructions` and `edges` stay empty and it must not be attached
+// to a Cpu. The kernel keeps one either way (KernelConfig::
+// record_ground_truth).
 
 #ifndef SRC_CPU_GROUND_TRUTH_H_
 #define SRC_CPU_GROUND_TRUTH_H_
@@ -59,12 +66,13 @@ struct ImageTruth {
 
 class GroundTruth {
  public:
-  GroundTruth() = default;
+  explicit GroundTruth(bool record = true) : record_(record) {}
   // Not copyable: the lookup memos point into this recorder's own images.
   GroundTruth(const GroundTruth&) = delete;
   GroundTruth& operator=(const GroundTruth&) = delete;
 
-  // Registers an image; instruction counters are indexed by PC range.
+  // Registers an image; instruction counters are indexed by PC range and
+  // sized only when this recorder records.
   void AddImage(std::shared_ptr<const ExecutableImage> image);
 
   // Moves every counter in this recorder into `dst`, zeroing them here.
@@ -119,6 +127,7 @@ class GroundTruth {
   void AddEdgeSlow(uint64_t from_pc, uint64_t to_pc, EdgeMemo* memo);
   void ClearMemos();
 
+  bool record_;
   std::vector<ImageTruth> images_;  // sorted by text_base
   // The last image ImageForPc found, with its [text_base, text_end).
   ImageTruth* last_hit_ = nullptr;

@@ -62,12 +62,14 @@ kbuf:   .space 256
 
 }  // namespace
 
-Kernel::Kernel(const KernelConfig& config) : config_(config) {
-  truth_shards_.reserve(config.num_cpus);
+Kernel::Kernel(const KernelConfig& config)
+    : config_(config), ground_truth_(config.record_ground_truth) {
   for (uint32_t i = 0; i < config.num_cpus; ++i) {
-    truth_shards_.push_back(std::make_unique<GroundTruth>());
     cpus_.push_back(std::make_unique<Cpu>(i, config.cpu));
-    cpus_.back()->set_ground_truth(truth_shards_.back().get());
+    if (config.record_ground_truth) {
+      truth_shards_.push_back(std::make_unique<GroundTruth>());
+      cpus_.back()->set_ground_truth(truth_shards_.back().get());
+    }
   }
   run_queues_.resize(config.num_cpus);
   exited_.resize(config.num_cpus);

@@ -16,11 +16,17 @@
 //     never release, so a Kernel driven directly keeps an exited
 //     process's memory readable.
 //
+// Ground truth is recorded only on request (KernelConfig::
+// record_ground_truth), as the paper took its dcpix reference from separate
+// instrumented runs: without it no CPU has a recorder, and ground_truth()
+// is the image registry alone, listing every loaded image with empty
+// counters. Asking changes no simulated byte.
+//
 // Multiprocessor model: scheduling state is sharded per CPU. Each process
 // is pinned to the run queue of one CPU at creation (round-robin by PID),
 // every CPU has its own kernel context (pid 0) for the swtch/idle paths,
-// and each CPU records into its own ground-truth shard. RunCpuShard() may
-// therefore be called concurrently from one host thread per CPU: the only
+// and a recording CPU records into its own ground-truth shard. RunCpuShard()
+// may therefore be called concurrently from one host thread per CPU: the only
 // cross-CPU state is the loader-event queue (mutex, cold path) and the
 // process-error flag (atomic). Run() drives the same per-CPU shards
 // sequentially, interleaving CPUs by least-advanced simulated clock, and
@@ -48,6 +54,11 @@ struct KernelConfig {
   uint64_t quantum_cycles = 50'000;
   CpuConfig cpu;
   uint64_t seed = 1;  // page-colouring and layout randomization
+  // Record per-instruction ground truth (execution counts, head and stall
+  // cycles, taken edges). Only the accuracy studies and tests read it;
+  // each recording CPU carries a shard of 152 bytes per instruction of
+  // every loaded image.
+  bool record_ground_truth = false;
 };
 
 struct LoaderEvent {
@@ -96,7 +107,9 @@ class Kernel {
   Cpu& cpu(uint32_t index) { return *cpus_[index]; }
   uint32_t num_cpus() const { return static_cast<uint32_t>(cpus_.size()); }
   // Merged machine-wide ground truth: folds the per-CPU recorder shards in
-  // before returning. Call only while no CPU shard is running.
+  // before returning. Call only while no CPU shard is running. Without
+  // record_ground_truth it is the image registry: images() lists every
+  // loaded image (by text base) with empty instructions and edges.
   GroundTruth& ground_truth();
   const std::shared_ptr<const ExecutableImage>& vmunix() const { return vmunix_; }
   const std::vector<std::unique_ptr<Process>>& processes() const { return processes_; }
@@ -120,7 +133,8 @@ class Kernel {
   KernelConfig config_;
   ImageRegistry registry_;
   GroundTruth ground_truth_;  // merged view; CPUs record into shards
-  std::vector<std::unique_ptr<GroundTruth>> truth_shards_;  // one per CPU
+  // One per CPU when recording, none otherwise.
+  std::vector<std::unique_ptr<GroundTruth>> truth_shards_;
   std::vector<std::unique_ptr<Cpu>> cpus_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::deque<Process*>> run_queues_;  // one shard per CPU

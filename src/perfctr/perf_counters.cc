@@ -57,6 +57,20 @@ PerfCounters::PerfCounters(uint32_t cpu_id, const PerfCountersConfig& config,
       event_counters_.push_back(counter);
     }
   }
+  UpdateIssueHorizon();
+}
+
+void PerfCounters::UpdateIssueHorizon() {
+  if (wide_armed_ || edge_armed_) {
+    issue_horizon_ = 0;  // the next issue group resolves the armed sample
+    return;
+  }
+  uint64_t next = UINT64_MAX;
+  if (!pending_.empty()) next = pending_.top().cycle;
+  if (has_cycles_counter_) {
+    next = std::min(next, next_cycles_overflow_ + config_.skid_cycles);
+  }
+  issue_horizon_ = std::max(next, blind_until_);
 }
 
 uint64_t PerfCounters::NextPeriod(const CounterSpec& spec) {
@@ -90,17 +104,17 @@ void PerfCounters::OnEvent(EventType type, uint64_t cycle) {
     counter->count = 0;
     counter->period = NextPeriod(counter->spec);
     pending_.push({cycle + config_.skid_cycles, type});
+    UpdateIssueHorizon();
   }
 }
 
 void PerfCounters::OnPalWindow(uint64_t start, uint64_t end) {
   (void)start;
   blind_until_ = std::max(blind_until_, end);
+  UpdateIssueHorizon();
 }
 
-uint64_t PerfCounters::OnIssue(uint32_t pid, uint64_t pc, uint64_t t_prev,
-                               uint64_t t_issue) {
-  (void)t_prev;
+uint64_t PerfCounters::OnIssue(uint32_t pid, uint64_t pc, uint64_t t_issue) {
   uint64_t t_adj = t_issue;
   // Resolve a pending wide sample: its data fields (if any) were filled by
   // OnDataAccess during the sampled instruction's execute stage, so by the
@@ -198,6 +212,7 @@ uint64_t PerfCounters::OnIssue(uint32_t pid, uint64_t pc, uint64_t t_prev,
       edge_from_pc_ = pc;
     }
   }
+  UpdateIssueHorizon();
   return t_adj;
 }
 

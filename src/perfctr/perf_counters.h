@@ -15,6 +15,12 @@
 // A counter can time-multiplex several event types at a fine grain (the
 // paper's "mux" configuration); ActiveFraction() exposes the duty-cycle
 // correction the analysis tools apply.
+//
+// The issue horizon (PerfMonitor::issue_horizon) is the next delivery the
+// counters can make: the earlier of the first pending event delivery and
+// the next CYCLES overflow plus skid, raised to the end of the blind spot,
+// or 0 while a wide or double sample waits for the next issue group.
+// Every call that can move one of those inputs recomputes it.
 
 #ifndef SRC_PERFCTR_PERF_COUNTERS_H_
 #define SRC_PERFCTR_PERF_COUNTERS_H_
@@ -89,7 +95,7 @@ class PerfCounters : public PerfMonitor {
   PerfCounters(uint32_t cpu_id, const PerfCountersConfig& config, SampleSink* sink);
 
   // PerfMonitor interface (called by the CPU).
-  uint64_t OnIssue(uint32_t pid, uint64_t pc, uint64_t t_prev, uint64_t t_issue) override;
+  uint64_t OnIssue(uint32_t pid, uint64_t pc, uint64_t t_issue) override;
   void OnEvent(EventType type, uint64_t cycle) override;
   void OnPalWindow(uint64_t start, uint64_t end) override;
   void OnDataAccess(uint32_t pid, uint64_t pc, uint64_t vaddr,
@@ -130,6 +136,9 @@ class PerfCounters : public PerfMonitor {
   };
 
   uint64_t NextPeriod(const CounterSpec& spec);
+  // Recomputes issue_horizon_ from the pending deliveries, the CYCLES
+  // overflow stream, the blind spot and the armed samples.
+  void UpdateIssueHorizon();
   void RotateMux(HwCounter* counter, uint64_t cycle);
   HwCounter* CounterFor(EventType type, uint64_t cycle);
 

@@ -19,8 +19,11 @@
 // cache under <db_root>/epoch_<N>/.cache. The procedures of every checked
 // epoch fan out once over --jobs worker threads (default: hardware
 // concurrency); the report is byte-identical for any jobs count and cold
-// or warm cache. Exits 0 when no errors were found, 1 on violations or
-// unreadable inputs, 2 on usage errors.
+// or warm cache. Exits 0 when no errors were found, 1 on violations,
+// unreadable inputs or when nothing was analyzed (no image has a CYCLES
+// profile in any checked epoch of any shard), 2 on usage errors. An image
+// or a shard without a checked epoch's profile, while something else was
+// analyzed, is a warning.
 
 #include <algorithm>
 #include <cstdio>
@@ -73,6 +76,7 @@ int main(int argc, char** argv) {
   // host's database passes on its own. A plain database is the one shard.
   const ToolContext& ctx = context.value();
   bool all_ok = true;
+  size_t analyzed = 0;  // (image, epoch) pairs analyzed, over every shard
   for (size_t h = 0; h < ctx.view.num_hosts(); ++h) {
     const ProfileDatabase& host = ctx.view.host(h);
     DcpicheckOptions host_options = options;
@@ -87,9 +91,15 @@ int main(int argc, char** argv) {
       });
       std::fprintf(stdout, "=== %s ===\n", ctx.view.host_names()[h].c_str());
     }
-    CheckReport report = RunDcpicheck(host_options);
+    size_t host_analyzed = 0;
+    CheckReport report = RunDcpicheck(host_options, &host_analyzed);
     std::fputs(report.ToString().c_str(), stdout);
     all_ok = all_ok && report.ok();
+    analyzed += host_analyzed;
+  }
+  if (all_ok && analyzed == 0) {
+    std::fprintf(stderr, "no image has a CYCLES profile in the checked epochs\n");
+    return 1;
   }
   return all_ok ? 0 : 1;
 }

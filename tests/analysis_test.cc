@@ -150,6 +150,7 @@ AnalyzedRun RunWorkload(Workload workload, double period_scale = 1.0 / 32,
                         ProfilingMode mode = ProfilingMode::kCycles) {
   AnalyzedRun run;
   SystemConfig config;
+  config.kernel.record_ground_truth = true;  // estimates are scored against it
   config.mode = mode;
   config.period_scale = period_scale;
   config.free_profiling = true;  // densified sampling must not distort timing

@@ -141,10 +141,12 @@ TEST_F(CliExitTest, ContinuousPipelineExitsZeroAndEmptyEpochsExitOne) {
   EXPECT_EQ(RunTool("dcpicalc --epoch 9999 " + db + " " + image +
                     " no_such_proc"),
             1);
-  // dcpicheck warns about an epoch without profiles. A reader creates no
-  // epoch directory: one would move the epoch a writer resumes at.
-  EXPECT_EQ(RunTool("dcpicheck --epoch 9999 " + db + all_images), 0);
+  // So is a dcpicheck that analyzed nothing. A reader creates no epoch
+  // directory: one would move the epoch a writer resumes at.
+  EXPECT_EQ(RunTool("dcpicheck --epoch 9999 " + db + all_images), 1);
   EXPECT_FALSE(std::filesystem::exists(db + "/epoch_9999"));
+  // A gap beside an analyzed epoch stays a warning.
+  EXPECT_EQ(RunTool("dcpicheck --epoch 0 --epoch 9999 " + db + all_images), 0);
   // dcpistats compares sample sets; one epoch is not enough.
   EXPECT_EQ(RunTool("dcpistats --epoch 0 " + db + " " + image), 1);
 
@@ -195,8 +197,9 @@ TEST_F(CliExitTest, FleetPipelineExitsZero) {
   ASSERT_TRUE(std::filesystem::exists(fleet + "/host_1"));
 
   // A host with none of the requested epochs gets its image lint and a
-  // warning; nothing is analyzed, so no result cache appears.
-  EXPECT_EQ(RunTool("dcpicheck --fleet --epoch 9999 " + fleet + all_images), 0);
+  // warning; nothing is analyzed, so no result cache appears, and a check
+  // that analyzed nothing on any host fails.
+  EXPECT_EQ(RunTool("dcpicheck --fleet --epoch 9999 " + fleet + all_images), 1);
   for (const auto& entry : std::filesystem::recursive_directory_iterator(fleet)) {
     EXPECT_NE(entry.path().filename(), ".cache") << entry.path();
   }
@@ -248,6 +251,8 @@ TEST_F(CliExitTest, DcpicalcAnalyzesWhatDcpicheckAnalyzes) {
     return n;
   };
   ASSERT_EQ(RunTool("dcpicheck --epoch 0 " + db + " " + image), 0);
+  // A batch run writes epoch 0 alone: checking epoch 1 analyzes nothing.
+  EXPECT_EQ(RunTool("dcpicheck --epoch 1 " + db + " " + image), 1);
   const size_t checked = entries();
   ASSERT_GT(checked, 0u);
   EXPECT_EQ(RunTool("dcpicalc --selfcheck --epoch 0 " + db + " " + image +

@@ -59,7 +59,7 @@ TEST(DoubleSampling, CapturesConsecutiveHeadPcs) {
   uint64_t t = 0;
   for (int i = 0; i < 100; ++i) {
     uint64_t pc = i % 2 == 0 ? 0xA000 : 0xB000;
-    counters.OnIssue(1, pc, t, t + 50);
+    counters.OnIssue(1, pc, t + 50);
     t += 50;
   }
   uint64_t ab = 0, ba = 0, other = 0;

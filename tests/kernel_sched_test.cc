@@ -70,6 +70,7 @@ TEST(KernelSched, LoaderEventsCoverImagesAndExits) {
 TEST(KernelSched, KernelCodeRunsOnSwitches) {
   KernelConfig config;
   config.quantum_cycles = 2'000;
+  config.record_ground_truth = true;
   Kernel kernel(config);
   (void)kernel.CreateProcess("p", {SpinImage("p", 0x0100'0000, 100'000)}, "main");
   kernel.Run();

@@ -62,6 +62,7 @@ loop:
 )";
   auto image = MustAssemble("loop", 0x0100'0000, source);
   KernelConfig config;
+  config.record_ground_truth = true;
   Kernel kernel(config);
   auto process = kernel.CreateProcess("loop", {image}, "main");
   ASSERT_TRUE(process.ok());
@@ -199,6 +200,7 @@ loop:
 )";
   KernelConfig config;
   config.num_cpus = 4;
+  config.record_ground_truth = true;
   Kernel kernel(config);
   std::vector<Process*> procs;
   for (int i = 0; i < 8; ++i) {

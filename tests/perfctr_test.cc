@@ -46,7 +46,7 @@ TEST(PerfCounters, CyclesSampleRateMatchesPeriod) {
   uint64_t t = 0;
   for (int i = 0; i < 10000; ++i) {
     uint64_t next = t + 10;
-    counters.OnIssue(1, 0x1000 + (i % 64) * 4, t, next);
+    counters.OnIssue(1, 0x1000 + (i % 64) * 4, next);
     t = next;
   }
   // 100K cycles at period 1000 => ~100 samples.
@@ -61,7 +61,7 @@ TEST(PerfCounters, RandomizedPeriodsVary) {
   uint64_t last = 0;
   for (int i = 0; i < 5000; ++i) {
     uint64_t next = t + 1;
-    counters.OnIssue(1, 0x1000, t, next);
+    counters.OnIssue(1, 0x1000, next);
     if (sink.samples().size() > deltas.size()) {
       deltas.push_back(next - last);
       last = next;
@@ -85,9 +85,9 @@ TEST(PerfCounters, SkidAttributesToLaterHead) {
   // 1003 and B at 1010, the sample lands on B (the head at delivery).
   RecordingSink sink;
   PerfCounters counters(0, CyclesConfig(1000, 1000), &sink);
-  counters.OnIssue(1, 0xA000, 0, 1003);
+  counters.OnIssue(1, 0xA000, 1003);
   EXPECT_TRUE(sink.samples().empty());
-  counters.OnIssue(1, 0xB000, 1003, 1010);
+  counters.OnIssue(1, 0xB000, 1010);
   ASSERT_EQ(sink.samples().size(), 1u);
   EXPECT_EQ(sink.samples()[0].pc, 0xB000u);
 }
@@ -95,7 +95,7 @@ TEST(PerfCounters, SkidAttributesToLaterHead) {
 TEST(PerfCounters, HandlerCostStretchesIssueTime) {
   RecordingSink sink(/*cost=*/400);
   PerfCounters counters(0, CyclesConfig(1000, 1000), &sink);
-  uint64_t adjusted = counters.OnIssue(1, 0xA000, 0, 2000);
+  uint64_t adjusted = counters.OnIssue(1, 0xA000, 2000);
   // The first delivery at 1006 costs 400 cycles, stretching the stall to
   // 2400 — which lets the second overflow's delivery (2006) land inside
   // the same head interval and charge another 400.
@@ -108,9 +108,9 @@ TEST(PerfCounters, BlindSpotDefersDelivery) {
   PerfCounters counters(0, CyclesConfig(1000, 1000), &sink);
   // PAL window covers the delivery point 1006.
   counters.OnPalWindow(900, 1500);
-  counters.OnIssue(1, 0xA000, 0, 1200);  // delivery deferred past 1500
+  counters.OnIssue(1, 0xA000, 1200);  // delivery deferred past 1500
   EXPECT_TRUE(sink.samples().empty());
-  counters.OnIssue(1, 0xB000, 1200, 1600);
+  counters.OnIssue(1, 0xB000, 1600);
   ASSERT_EQ(sink.samples().size(), 1u);
   EXPECT_EQ(sink.samples()[0].pc, 0xB000u);  // attributed after the window
   EXPECT_EQ(counters.stats().deferred_deliveries, 1u);
@@ -122,7 +122,7 @@ TEST(PerfCounters, EventCounterOverflowsOnNthEvent) {
   RecordingSink sink;
   PerfCounters counters(0, config, &sink);
   for (int i = 0; i < 25; ++i) counters.OnEvent(EventType::kImiss, 100 + i);
-  counters.OnIssue(1, 0xC000, 0, 10000);
+  counters.OnIssue(1, 0xC000, 10000);
   EXPECT_EQ(sink.samples().size(), 2u);  // 25 events / period 10
   for (const auto& sample : sink.samples()) {
     EXPECT_EQ(sample.event, EventType::kImiss);
@@ -143,11 +143,11 @@ TEST(PerfCounters, MuxRotatesEventTypes) {
   // Early on, IMISS is live and DMISS is ignored; after rotation the
   // reverse holds.
   for (int i = 0; i < 5000; ++i) counters.OnEvent(EventType::kDmiss, 10);
-  counters.OnIssue(1, 0x1, 0, 20);
+  counters.OnIssue(1, 0x1, 20);
   size_t early = sink.samples().size();
   EXPECT_EQ(early, 0u);  // DMISS inactive in the first window
   for (int i = 0; i < 5000; ++i) counters.OnEvent(EventType::kDmiss, 1500);
-  counters.OnIssue(1, 0x1, 20, 3000);
+  counters.OnIssue(1, 0x1, 3000);
   EXPECT_GT(sink.samples().size(), 0u);  // rotated to DMISS
 }
 

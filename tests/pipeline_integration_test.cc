@@ -14,6 +14,7 @@ namespace {
 SystemConfig DenseSamplingConfig(ProfilingMode mode, uint32_t num_cpus = 1) {
   SystemConfig config;
   config.kernel.num_cpus = num_cpus;
+  config.kernel.record_ground_truth = true;  // the accuracy checks read it
   config.mode = mode;
   config.period_scale = 1.0 / 32;  // dense sampling for short runs
   config.free_profiling = true;    // keep dense interrupts from skewing timing

@@ -11,9 +11,10 @@ namespace dcpi {
 namespace {
 
 // Runs a workload at tiny scale in base mode; returns the system.
-std::unique_ptr<System> RunTiny(Workload workload) {
+std::unique_ptr<System> RunTiny(Workload workload, bool record_ground_truth = false) {
   SystemConfig config;
   config.kernel.num_cpus = std::max(1u, workload.num_cpus);
+  config.kernel.record_ground_truth = record_ground_truth;
   auto system = std::make_unique<System>(config);
   EXPECT_TRUE(workload.Instantiate(system.get()).ok()) << workload.name;
   SystemResult result = system->Run();
@@ -38,9 +39,12 @@ TEST_P(Table2Workload, AssemblesAndRunsClean) {
 
 INSTANTIATE_TEST_SUITE_P(Suite, Table2Workload, ::testing::Range<size_t>(0, 8));
 
-// Sums ground-truth stall cycles by cause over all images.
+// Sums ground-truth stall cycles by cause over all images of a run that
+// recorded it (an unrecorded run would sum to zero and pass vacuously).
 void SumStalls(System& system, uint64_t out[kNumStallCauses]) {
   for (const ImageTruth& truth : system.kernel().ground_truth().images()) {
+    ASSERT_EQ(truth.instructions.size(), truth.image->num_instructions())
+        << truth.image->name();
     for (const InstructionTruth& instr : truth.instructions) {
       for (int c = 0; c < kNumStallCauses; ++c) out[c] += instr.stall_cycles[c];
     }
@@ -49,7 +53,8 @@ void SumStalls(System& system, uint64_t out[kNumStallCauses]) {
 
 TEST(Microworkloads, PointerChaseIsDcacheBound) {
   WorkloadFactory factory(/*scale=*/0.1);
-  std::unique_ptr<System> system = RunTiny(factory.PointerChase());
+  std::unique_ptr<System> system =
+      RunTiny(factory.PointerChase(), /*record_ground_truth=*/true);
   uint64_t stalls[kNumStallCauses] = {};
   SumStalls(*system, stalls);
   uint64_t dcache = stalls[static_cast<int>(StallCause::kDcacheMiss)];
@@ -61,7 +66,8 @@ TEST(Microworkloads, PointerChaseIsDcacheBound) {
 
 TEST(Microworkloads, BranchHeavyIsMispredictBound) {
   WorkloadFactory factory(/*scale=*/0.1);
-  std::unique_ptr<System> system = RunTiny(factory.BranchHeavy());
+  std::unique_ptr<System> system =
+      RunTiny(factory.BranchHeavy(), /*record_ground_truth=*/true);
   uint64_t stalls[kNumStallCauses] = {};
   SumStalls(*system, stalls);
   uint64_t mp = stalls[static_cast<int>(StallCause::kBranchMispredict)];
@@ -72,7 +78,8 @@ TEST(Microworkloads, BranchHeavyIsMispredictBound) {
 
 TEST(Microworkloads, IcacheStressIsIcacheBound) {
   WorkloadFactory factory(/*scale=*/0.2);
-  std::unique_ptr<System> system = RunTiny(factory.IcacheStress());
+  std::unique_ptr<System> system =
+      RunTiny(factory.IcacheStress(), /*record_ground_truth=*/true);
   uint64_t stalls[kNumStallCauses] = {};
   SumStalls(*system, stalls);
   uint64_t icache = stalls[static_cast<int>(StallCause::kIcacheMiss)];
@@ -83,7 +90,8 @@ TEST(Microworkloads, IcacheStressIsIcacheBound) {
 
 TEST(Microworkloads, ImulFdivOccupiesUnits) {
   WorkloadFactory factory(/*scale=*/0.1);
-  std::unique_ptr<System> system = RunTiny(factory.ImulFdivStress());
+  std::unique_ptr<System> system =
+      RunTiny(factory.ImulFdivStress(), /*record_ground_truth=*/true);
   uint64_t stalls[kNumStallCauses] = {};
   SumStalls(*system, stalls);
   // Unit occupancy and long dependency latency dominate.
@@ -95,7 +103,8 @@ TEST(Microworkloads, ImulFdivOccupiesUnits) {
 
 TEST(Microworkloads, WriteBufferStressOverflows) {
   WorkloadFactory factory(/*scale=*/0.2);
-  std::unique_ptr<System> system = RunTiny(factory.WriteBufferStress());
+  std::unique_ptr<System> system =
+      RunTiny(factory.WriteBufferStress(), /*record_ground_truth=*/true);
   uint64_t stalls[kNumStallCauses] = {};
   SumStalls(*system, stalls);
   EXPECT_GT(stalls[static_cast<int>(StallCause::kWriteBuffer)], 1000u);
