@@ -8,6 +8,9 @@
 // Expected shape here: smooth_ is memory-system bound — D-cache, DTB, and
 // write-buffer are the dominant dynamic causes (as ranges), static stalls
 // are a small fraction, and the total tallies to ~100%.
+//
+// Gated: exits 1 (GATE FAILED on stderr) unless the summary tallies 100.0%
+// and the largest dynamic maximum is D-cache, DTB or write buffer.
 
 #include "bench/bench_util.h"
 #include "src/tools/dcpicalc.h"
@@ -24,7 +27,7 @@ int main() {
   SystemConfig spec;
   spec.mode = ProfilingMode::kDefault;  // IMISS samples bound the I-cache rows
   spec.period_scale = 1.0 / 16;
-    spec.free_profiling = true;
+  spec.free_profiling = true;
   RunOutput run = RunProfiled(workload, spec);
 
   auto image = workload.processes[0].images[0];
@@ -45,5 +48,25 @@ int main() {
   std::printf("ours:  memory-system upper bound %.1f%%, static subtotal %.1f%%, "
               "execution %.1f%%\n",
               memory_system, s.subtotal_static(), s.execution_pct);
+
+  // The tally as FormatStallSummary prints it.
+  char tally[32];
+  std::snprintf(tally, sizeof(tally), "%.1f",
+                s.total_dynamic_pct + s.subtotal_static() + s.execution_pct +
+                    s.unexplained_gain_pct);
+  bool ok = Gate(std::string(tally) == "100.0",
+                 std::string("Fig 4 summary tallies ") + tally + "%, need 100.0%");
+  const double* largest = std::max_element(s.dynamic_max_pct, s.dynamic_max_pct + kNumCulpritKinds);
+  const double memory_max =
+      std::max({s.dynamic_max_pct[static_cast<int>(CulpritKind::kDcache)],
+                s.dynamic_max_pct[static_cast<int>(CulpritKind::kDtb)],
+                s.dynamic_max_pct[static_cast<int>(CulpritKind::kWriteBuffer)]});
+  ok = Gate(memory_max == *largest,
+            std::string("Fig 4 largest dynamic maximum is ") +
+                CulpritKindName(static_cast<CulpritKind>(largest - s.dynamic_max_pct)) +
+                ", need D-cache, DTB or write buffer") &&
+       ok;
+  if (!ok) return 1;
+  std::printf("gate passed: tallies 100.0%%, memory system dominates the dynamic stalls\n");
   return 0;
 }

@@ -76,6 +76,14 @@ class BenchDir {
   std::string path_;
 };
 
+// One shape check of a gated bench: prints "GATE FAILED: <row>" on stderr
+// when `ok` is false, and returns `ok`, so a bench can run every check and
+// exit 1 if any missed.
+inline bool Gate(bool ok, const std::string& row) {
+  if (!ok) std::fprintf(stderr, "GATE FAILED: %s\n", row.c_str());
+  return ok;
+}
+
 inline void PrintHeader(const char* what, const char* paper_ref) {
   std::printf("==================================================================\n");
   std::printf("%s\n", what);

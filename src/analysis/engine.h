@@ -96,7 +96,7 @@ struct EpochAnalysis {
 
 struct DatabaseAnalysisOptions {
   // Epochs to analyze, ascending. Empty analyzes none: the caller resolves
-  // any default (the tools do it once, in OpenToolDatabase).
+  // any default (the tools do it once, in RunReaderTool).
   std::vector<uint32_t> epochs;
   bool use_cache = true;  // per-epoch caches under the database
 };

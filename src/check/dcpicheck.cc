@@ -27,28 +27,40 @@ CheckReport RunDcpicheck(const DcpicheckOptions& options, size_t* analyzed_pairs
   // Read-only: dcpicheck may run against a database a daemon is still
   // writing, and must never quarantine its in-flight files.
   ProfileDatabase db(options.db_root, DbOpenMode::kReadOnly);
+  std::vector<Result<std::shared_ptr<ExecutableImage>>> images;
+  for (const std::string& file : options.image_files) {
+    Result<std::shared_ptr<ExecutableImage>> loaded = LoadImage(file);
+    if (!loaded.ok()) {
+      loaded = Status(loaded.status().code(), "cannot load image " + file + ": " +
+                                                  loaded.status().ToString());
+    }
+    images.push_back(std::move(loaded));
+  }
+  return CheckDatabase(db, images, options, analyzed_pairs);
+}
+
+CheckReport CheckDatabase(
+    const ProfileDatabase& db,
+    const std::vector<Result<std::shared_ptr<ExecutableImage>>>& images_in,
+    const DcpicheckOptions& options, size_t* analyzed_pairs) {
   AnalysisConfig config = options.analysis;
   config.selfcheck = true;
 
-  // Load and lint serially (cheap, and the lint findings must keep input
-  // order); analysis fans out below.
-  std::vector<std::unique_ptr<ImageEntry>> entries;
+  // Lint serially (cheap, and the lint findings must keep input order);
+  // analysis fans out below.
+  std::vector<ImageEntry> entries(images_in.size());
   std::vector<std::shared_ptr<const ExecutableImage>> images;
-  for (const std::string& file : options.image_files) {
-    auto entry = std::make_unique<ImageEntry>();
-    Result<std::shared_ptr<ExecutableImage>> loaded = LoadImage(file);
-    if (!loaded.ok()) {
-      entry->pre.AddViolation(CheckPass::kInput, CheckSeverity::kError,
-                              "cannot load image " + file + ": " +
-                                  loaded.status().ToString());
-      entries.push_back(std::move(entry));
+  for (size_t i = 0; i < images_in.size(); ++i) {
+    ImageEntry& entry = entries[i];
+    if (!images_in[i].ok()) {
+      entry.pre.AddViolation(CheckPass::kInput, CheckSeverity::kError,
+                             images_in[i].status().message());
       continue;
     }
-    entry->image = loaded.value();
-    LintImage(*entry->image, &entry->pre, options.lint);
-    entry->image_index = images.size();
-    images.push_back(entry->image);
-    entries.push_back(std::move(entry));
+    entry.image = images_in[i].value();
+    LintImage(*entry.image, &entry.pre, options.lint);
+    entry.image_index = images.size();
+    images.push_back(entry.image);
   }
 
   EngineOptions engine_options;
@@ -86,25 +98,25 @@ CheckReport RunDcpicheck(const DcpicheckOptions& options, size_t* analyzed_pairs
   CheckReport report;
   if (options.epochs.empty()) {
     report.AddViolation(CheckPass::kInput, CheckSeverity::kWarning,
-                        "profile database " + options.db_root +
+                        "profile database " + db.root() +
                             " has none of the requested epochs; analysis "
                             "passes skipped");
   }
-  for (const auto& entry : entries) {
-    for (const CheckViolation& v : entry->pre.violations()) report.Add(v);
-    if (!entry->image) continue;
+  for (const ImageEntry& entry : entries) {
+    for (const CheckViolation& v : entry.pre.violations()) report.Add(v);
+    if (!entry.image) continue;
     for (size_t e = 0; e < analyzed.per_epoch.size(); ++e) {
       const EpochAnalysisResult& epoch = analyzed.per_epoch[e];
-      size_t first = epoch_index[e].first_result[entry->image_index];
+      size_t first = epoch_index[e].first_result[entry.image_index];
       if (first == SIZE_MAX) {
         CheckViolation& v = report.AddViolation(
             CheckPass::kInput, CheckSeverity::kWarning,
             "no CYCLES profile in epoch " + std::to_string(epoch.epoch) +
                 "; analysis passes skipped");
-        v.image = entry->image->name();
+        v.image = entry.image->name();
         continue;
       }
-      for (size_t p = 0; p < entry->image->procedures().size(); ++p) {
+      for (size_t p = 0; p < entry.image->procedures().size(); ++p) {
         const ProcedureResult& result = epoch.analysis.procedures[first + p];
         if (!result.status.ok()) {
           CheckViolation& v = report.AddViolation(

@@ -13,23 +13,27 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/analysis/analyzer.h"
 #include "src/check/check.h"
 #include "src/check/image_lint.h"
+#include "src/profiledb/database.h"
 
 namespace dcpi {
 
 struct DcpicheckOptions {
+  // The database and image files RunDcpicheck opens and loads;
+  // CheckDatabase takes them opened and loaded instead.
   std::string db_root;
-  // Epochs to check, ascending. Empty checks none: the report then holds
-  // the lint findings and one warning. The CLI resolves the default set
-  // (OpenToolDatabase) and, under --fleet, passes each host the requested
-  // epochs it has.
-  std::vector<uint32_t> epochs;
   std::vector<std::string> image_files;
+  // Epochs to check, ascending. Empty checks none: the report then holds
+  // the lint findings and one warning. The dcpicheck tool resolves the
+  // default set (RunReaderTool, src/tools/toolkit.h) and, under --fleet,
+  // passes each host the requested epochs it has.
+  std::vector<uint32_t> epochs;
   ImageLintOptions lint;
   AnalysisConfig analysis;
   // Analysis-engine knobs: worker threads (<1 = hardware concurrency) and
@@ -39,10 +43,23 @@ struct DcpicheckOptions {
   bool use_cache = true;
 };
 
-// When `analyzed_pairs` is not null it receives how many (image, epoch) pairs
-// had a CYCLES profile and were analyzed; 0 means the passes ran nowhere.
+// Opens options.db_root read-only, loads options.image_files (a file that
+// does not load is an error in the report, in its place) and runs
+// CheckDatabase. When `analyzed_pairs` is not null it receives how many
+// (image, epoch) pairs had a CYCLES profile and were analyzed; 0 means the
+// passes ran nowhere.
 CheckReport RunDcpicheck(const DcpicheckOptions& options,
                          size_t* analyzed_pairs = nullptr);
+
+// The check over a database the caller opened and image files it loaded:
+// `images` holds each file's load result in input order, and a failed
+// load's message is reported in its place. The dcpicheck tool opens and
+// loads once and calls this per shard; options.db_root and
+// options.image_files are not read.
+CheckReport CheckDatabase(
+    const ProfileDatabase& db,
+    const std::vector<Result<std::shared_ptr<ExecutableImage>>>& images,
+    const DcpicheckOptions& options, size_t* analyzed_pairs = nullptr);
 
 }  // namespace dcpi
 

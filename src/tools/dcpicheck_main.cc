@@ -16,90 +16,63 @@
 // and prints a structured report. Epoch selection is shared with the other
 // tools (toolkit.h): by default the latest sealed epoch is checked;
 // --all-epochs checks every sealed epoch, each through its own result
-// cache under <db_root>/epoch_<N>/.cache. The procedures of every checked
-// epoch fan out once over --jobs worker threads (default: hardware
-// concurrency); the report is byte-identical for any jobs count and cold
-// or warm cache. Exits 0 when no errors were found, 1 on violations,
-// unreadable inputs or when nothing was analyzed (no image has a CYCLES
-// profile in any checked epoch of any shard), 2 on usage errors. An image
-// or a shard without a checked epoch's profile, while something else was
-// analyzed, is a warning.
+// cache under <db_root>/epoch_<N>/.cache. The database is opened and the
+// images are loaded once, for every shard; the procedures of every checked
+// epoch of a shard fan out once over --jobs worker threads (default:
+// hardware concurrency), and the report is byte-identical for any jobs
+// count and cold or warm cache. Exits 0 when no errors were found, 1 on
+// violations, unreadable inputs or when nothing was analyzed (no image has
+// a CYCLES profile in any checked epoch of any shard), 2 on usage errors.
+// An image or a shard without a checked epoch's profile, while something
+// else was analyzed, is a warning.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "src/check/dcpicheck.h"
 #include "src/tools/toolkit.h"
 
+namespace dcpi {
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: dcpicheck [--fleet] [--jobs N] [--no-cache] "
-               "[--epoch N]... [--all-epochs] <db_root> <image_file>...\n");
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace dcpi;
-  ToolOptions tool_options;
-  int arg = 1;
-  while (arg < argc && argv[arg][0] == '-') {
-    int shared = ParseToolFlag(argc, argv, &arg, &tool_options);
-    if (shared < 0) return Usage();
-    if (shared == 0) {
-      std::fprintf(stderr, "unknown flag %s\n", argv[arg]);
-      return 2;
-    }
-    ++arg;
-  }
-  if (argc - arg < 2) return Usage();
-  const std::string db_root = argv[arg];
-
-  Result<ToolContext> context = OpenToolDatabase(db_root, tool_options);
-  if (!context.ok()) {
-    std::fprintf(stderr, "%s\n", context.status().ToString().c_str());
-    return 1;
-  }
-
+Status Check(const ToolRun& run) {
   DcpicheckOptions options;
-  options.jobs = tool_options.jobs;
-  options.use_cache = tool_options.use_cache;
-  for (int i = arg + 1; i < argc; ++i) options.image_files.push_back(argv[i]);
-
+  options.jobs = run.jobs;
+  options.use_cache = run.use_cache;
+  const std::vector<Result<std::shared_ptr<ExecutableImage>>> images(run.images.begin(),
+                                                                     run.images.end());
   // Check every shard independently: a fleet is healthy only when each
   // host's database passes on its own. A plain database is the one shard.
-  const ToolContext& ctx = context.value();
   bool all_ok = true;
   size_t analyzed = 0;  // (image, epoch) pairs analyzed, over every shard
-  for (size_t h = 0; h < ctx.view.num_hosts(); ++h) {
-    const ProfileDatabase& host = ctx.view.host(h);
-    DcpicheckOptions host_options = options;
-    host_options.db_root = host.root();
-    host_options.epochs = ctx.epochs;
-    if (tool_options.fleet) {
+  for (size_t h = 0; h < run.view.num_hosts(); ++h) {
+    const ProfileDatabase& host = run.view.host(h);
+    options.epochs = run.epochs;
+    if (run.fleet) {
       // Only the epochs this shard actually has: the fleet-wide epoch
       // union may be sparse per host, and an empty list checks none.
       std::vector<uint32_t> have = host.ListEpochs();
-      std::erase_if(host_options.epochs, [&](uint32_t epoch) {
+      std::erase_if(options.epochs, [&](uint32_t epoch) {
         return std::find(have.begin(), have.end(), epoch) == have.end();
       });
-      std::fprintf(stdout, "=== %s ===\n", ctx.view.host_names()[h].c_str());
+      std::fprintf(stdout, "=== %s ===\n", run.view.host_names()[h].c_str());
     }
     size_t host_analyzed = 0;
-    CheckReport report = RunDcpicheck(host_options, &host_analyzed);
+    CheckReport report = CheckDatabase(host, images, options, &host_analyzed);
     std::fputs(report.ToString().c_str(), stdout);
     all_ok = all_ok && report.ok();
     analyzed += host_analyzed;
   }
-  if (all_ok && analyzed == 0) {
-    std::fprintf(stderr, "no image has a CYCLES profile in the checked epochs\n");
-    return 1;
-  }
-  return all_ok ? 0 : 1;
+  if (!all_ok) return FailedPrecondition("the check found errors");
+  return analyzed == 0 ? NoCyclesProfile(run) : Status::Ok();
+}
+
+}  // namespace
+}  // namespace dcpi
+
+int main(int argc, char** argv) {
+  return dcpi::RunReaderTool(
+      argc, argv,
+      {.name = "dcpicheck", .takes_no_cache = true, .body = dcpi::Check});
 }

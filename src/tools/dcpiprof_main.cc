@@ -21,121 +21,56 @@
 // jobs count.
 
 #include <cstdio>
-#include <cstring>
-#include <optional>
-#include <string>
 #include <vector>
 
-#include "src/support/parallel_for.h"
 #include "src/tools/dcpiprof.h"
 #include "src/tools/toolkit.h"
 
+namespace dcpi {
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: dcpiprof [-i] [--fleet] [--jobs N] [--epoch N]... "
-               "[--all-epochs] <db_root> <image_file>...\n");
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace dcpi;
-  bool by_image = false;
-  ToolOptions options;
-  int arg = 1;
-  while (arg < argc && argv[arg][0] == '-') {
-    int shared = ParseToolFlag(argc, argv, &arg, &options);
-    if (shared < 0) return Usage();
-    if (shared == 0) {
-      if (std::strcmp(argv[arg], "-i") == 0) {
-        by_image = true;
-      } else {
-        std::fprintf(stderr, "unknown flag %s\n", argv[arg]);
-        return 2;
-      }
-    }
-    ++arg;
-  }
-  if (argc - arg < 2) return Usage();
-  const std::string db_root = argv[arg];
-  std::vector<std::string> image_paths(argv + arg + 1, argv + argc);
-
-  Result<ToolContext> context = OpenToolDatabase(db_root, options);
-  if (!context.ok()) {
-    std::fprintf(stderr, "%s\n", context.status().ToString().c_str());
-    return 1;
-  }
-  Result<std::vector<std::shared_ptr<ExecutableImage>>> images =
-      LoadImageSet(image_paths, options.jobs);
-  if (!images.ok()) {
-    std::fprintf(stderr, "%s\n", images.status().ToString().c_str());
-    return 1;
-  }
-
-  // One slot per (host, image) cell — a plain open is a 1-host grid.
-  // Profiles merge across the resolved epochs in parallel and are
-  // assembled in host-then-input order below (slots keep the profiles at
-  // stable addresses), so output is byte-identical for any jobs count and
-  // any shard enumeration order.
-  const ToolContext& ctx = context.value();
-  const size_t num_hosts = ctx.view.num_hosts();
-  const size_t num_images = images.value().size();
-  struct Slot {
-    std::optional<ImageProfile> cycles, secondary;
-  };
-  std::vector<Slot> slots(num_hosts * num_images);
-  ParallelFor(options.jobs, slots.size(), [&](size_t cell, int) {
-    const ProfileDatabase& host = ctx.view.host(cell / num_images);
-    const auto& image = images.value()[cell % num_images];
-    Result<ImageProfile> cycles =
-        host.ReadMerged(ctx.epochs, image->name(), EventType::kCycles);
-    if (!cycles.ok()) return;  // image not profiled in these epochs
-    slots[cell].cycles = std::move(cycles).value();
-    Result<ImageProfile> imiss =
-        host.ReadMerged(ctx.epochs, image->name(), EventType::kImiss);
-    if (imiss.ok()) slots[cell].secondary = std::move(imiss).value();
-  });
-
-  std::vector<std::vector<ProfInput>> per_host(num_hosts);
-  size_t profiled = 0;
-  for (size_t h = 0; h < num_hosts; ++h) {
-    for (size_t i = 0; i < num_images; ++i) {
-      Slot& slot = slots[h * num_images + i];
-      if (!slot.cycles.has_value()) continue;
-      ProfInput input;
-      input.image = images.value()[i];
-      input.cycles = &*slot.cycles;
-      if (slot.secondary.has_value()) input.secondary = &*slot.secondary;
-      per_host[h].push_back(input);
-      ++profiled;
-    }
-  }
-  if (profiled == 0) {
-    std::fprintf(stderr,
-                 "no CYCLES profiles for the given images in the requested "
-                 "epoch(s) of %s\n",
-                 db_root.c_str());
-    return 1;
-  }
+Status ListProfile(const ToolRun& run, bool by_image) {
+  // One set per host, each folded across the resolved epochs; a plain
+  // database is a one-host grid.
+  std::vector<ProfileSet> sets;
+  for (size_t h = 0; h < run.view.num_hosts(); ++h) sets.push_back({h, run.epochs});
+  ProfileGrid grid(run, std::move(sets), {EventType::kCycles, EventType::kImiss});
+  if (!grid.has_cycles()) return NoCyclesProfile(run);
+  std::vector<std::vector<ProfInput>> per_host;
+  for (size_t h = 0; h < run.view.num_hosts(); ++h) per_host.push_back(grid.Inputs(h));
   if (by_image) {
     // ListImages sums duplicate image keys, so the flattened grid yields
     // fleet-wide image totals directly.
     std::vector<ProfInput> all;
-    for (const std::vector<ProfInput>& host : per_host) {
-      all.insert(all.end(), host.begin(), host.end());
-    }
+    for (const auto& host : per_host) all.insert(all.end(), host.begin(), host.end());
     std::fputs(FormatImageListing(ListImages(all)).c_str(), stdout);
-  } else if (options.fleet) {
+  } else if (run.fleet) {
     std::fputs(FormatFleetProcedureListing(ListFleetProcedures(per_host),
-                                           ctx.view.host_names(), "imiss")
+                                           run.view.host_names(), "imiss")
                    .c_str(),
                stdout);
   } else {
     std::fputs(FormatProcedureListing(ListProcedures(per_host[0]), "imiss").c_str(),
                stdout);
   }
-  return 0;
+  return Status::Ok();
+}
+
+}  // namespace
+}  // namespace dcpi
+
+int main(int argc, char** argv) {
+  bool by_image = false;
+  return dcpi::RunReaderTool(
+      argc, argv,
+      {
+          .name = "dcpiprof",
+          .flags = "[-i]",
+          .parse_flag = [&](std::string_view flag, const char*) {
+            if (flag != "-i") return 0;
+            by_image = true;
+            return 1;
+          },
+          .body = [&](const dcpi::ToolRun& run) { return dcpi::ListProfile(run, by_image); },
+      });
 }
