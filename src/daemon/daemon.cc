@@ -406,8 +406,8 @@ Status Daemon::RollEpoch(uint64_t at_cycles) {
 
 Status Daemon::SealCurrentEpoch(uint64_t at_cycles) {
   if (database_ == nullptr) return Status::Ok();
-  // A live epoch with no samples stays open: sealing it would make an
-  // empty epoch the tools' default (latest sealed) selection.
+  // A live epoch with no samples was never written, so it has no
+  // directory (one appears with an epoch's first write): nothing to seal.
   if (samples_since_roll_.load(std::memory_order_relaxed) == 0) {
     return Status::Ok();
   }

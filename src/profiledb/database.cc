@@ -238,141 +238,54 @@ Result<ImageProfile> DeserializeProfile(const std::vector<uint8_t>& bytes) {
   return profile;
 }
 
-std::string ScanReport::ToString() const {
-  return "profile db scan: " + std::to_string(epochs_found) + " epoch(s), " +
-         std::to_string(files_checked) + " file(s) checked, " +
-         std::to_string(files_recovered) + " recovered, " +
-         std::to_string(files_quarantined) + " quarantined, next epoch " +
-         std::to_string(next_epoch);
-}
-
-std::string ScanReport::DetailString() const {
-  std::string out;
-  for (const EpochScanInfo& info : epochs) {
-    out += "  epoch " + std::to_string(info.epoch) + ": " +
-           std::to_string(info.files) + " file(s), " +
-           std::to_string(info.samples) + " sample(s), " +
-           (info.sealed ? "sealed" : "open") + "\n";
-  }
-  return out;
-}
-
 ProfileDatabase::ProfileDatabase(std::string root_dir, DbOpenMode mode)
     : root_(std::move(root_dir)), mode_(mode) {
-  if (mode_ == DbOpenMode::kReadWrite) {
-    std::error_code ec;
-    std::filesystem::create_directories(root_, ec);
-  }
+  if (mode_ == DbOpenMode::kReadOnly) return;
+  std::error_code ec;
+  std::filesystem::create_directories(root_, ec);
   scan_report_ = ScanAndRecover();
   next_epoch_ = scan_report_.next_epoch;
 }
 
 ScanReport ProfileDatabase::ScanAndRecover() const {
   ScanReport report;
-  bool any_epoch = false;
-  uint32_t max_epoch = 0;
-  std::error_code ec;
-  std::filesystem::directory_iterator root_it(root_, ec);
-  if (ec) return report;
-  const bool read_only = mode_ == DbOpenMode::kReadOnly;
-  // directory_iterator order is unspecified; sort epochs numerically and
-  // files by name so the scan (and the quarantine it performs) is stable
-  // across filesystems and runs.
-  std::vector<std::pair<uint32_t, std::filesystem::path>> epochs;
-  for (const auto& epoch_entry : root_it) {
-    if (!epoch_entry.is_directory()) continue;
-    uint32_t epoch = 0;
-    if (!ParseNumberedName(epoch_entry.path().filename().string(), "epoch_", &epoch)) {
-      continue;
+  const std::vector<uint32_t> epochs = ListEpochs();
+  for (uint32_t epoch : epochs) {
+    const std::filesystem::path epoch_path = EpochDir(epoch);
+    // directory_iterator order is unspecified; sort files by name so the
+    // quarantine is stable across filesystems and runs.
+    std::vector<std::filesystem::path> file_paths;
+    std::error_code ec;
+    for (const auto& file : std::filesystem::directory_iterator(epoch_path, ec)) {
+      if (file.is_regular_file()) file_paths.push_back(file.path());
     }
-    epochs.emplace_back(epoch, epoch_entry.path());
-  }
-  std::sort(epochs.begin(), epochs.end());
-  for (const auto& [epoch, epoch_path] : epochs) {
-    any_epoch = true;
-    max_epoch = std::max(max_epoch, epoch);
-    ++report.epochs_found;
-
-    // A read-only open can race the writing daemon sealing this epoch: the
-    // writer's final flush and its .sealed marker may land between our
-    // directory listing and the per-file reads, so a single pass could
-    // report the epoch unsealed yet miss files the seal guarantees are
-    // final. The marker is therefore re-checked after the reads; if it
-    // appeared mid-scan the epoch is rescanned once — it is immutable by
-    // then, so the second pass is a consistent snapshot. Read-write opens
-    // are the (single) writer itself and scan once; per-attempt counters
-    // stay local so only the surviving pass lands in the report.
-    EpochScanInfo info;
-    uint64_t files_checked = 0;
-    uint64_t files_recovered = 0;
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      info = EpochScanInfo{};
-      info.epoch = epoch;
-      files_checked = 0;
-      files_recovered = 0;
-      {
-        std::error_code seal_ec;
-        info.sealed = std::filesystem::exists(epoch_path / kSealMarker, seal_ec);
-      }
-
-      std::error_code dir_ec;
-      std::filesystem::directory_iterator files(epoch_path, dir_ec);
-      if (dir_ec) break;
-      std::vector<std::filesystem::path> file_paths;
-      for (const auto& file : files) {
-        if (!file.is_regular_file()) continue;
-        file_paths.push_back(file.path());
-      }
-      std::sort(file_paths.begin(), file_paths.end());
-      // Test hook: the race regression tests mutate the epoch here, in the
-      // listing-to-reads window.
-      if (FaultInjectingEnv* env = GetFaultInjectingEnv()) {
-        env->OnEpochScan(epoch);
-      }
-      for (const auto& file_path : file_paths) {
-        std::string file_name = file_path.filename().string();
-        auto quarantine = [&] {
-          std::error_code q_ec;
-          std::filesystem::path q_dir = epoch_path / ".quarantine";
-          std::filesystem::create_directories(q_dir, q_ec);
-          std::filesystem::rename(file_path, q_dir / file_name, q_ec);
-          if (q_ec) std::filesystem::remove(file_path, q_ec);
-          ++report.files_quarantined;
-        };
-        if (EndsWith(file_name, ".tmp")) {
-          // In-flight write from an interrupted flush: even if complete, the
-          // rename never committed it, so it cannot be trusted. A read-only
-          // open may be racing a live writer whose .tmp is about to commit —
-          // leave it alone and report nothing.
-          if (!read_only) quarantine();
+    std::sort(file_paths.begin(), file_paths.end());
+    for (const auto& file_path : file_paths) {
+      const std::string file_name = file_path.filename().string();
+      if (EndsWith(file_name, ".prof")) {
+        ++report.files_checked;
+        std::vector<uint8_t> bytes;
+        if (ReadFile(file_path.string(), &bytes).ok() &&
+            DeserializeProfile(bytes).ok()) {
+          ++report.files_recovered;
           continue;
         }
-        if (!EndsWith(file_name, ".prof")) continue;
-        ++files_checked;
-        std::vector<uint8_t> bytes;
-        Result<ImageProfile> profile = IoError("unread");
-        if (ReadFile(file_path.string(), &bytes).ok()) {
-          profile = DeserializeProfile(bytes);
-        }
-        if (profile.ok()) {
-          ++files_recovered;
-          ++info.files;
-          info.samples += profile.value().total_samples();
-        } else if (!read_only) {
-          quarantine();
-        }
+      } else if (!EndsWith(file_name, ".tmp")) {
+        continue;  // the seal marker or a compacted epoch's provenance
       }
-      if (!read_only) break;
-      std::error_code seal_ec;
-      bool sealed_now =
-          std::filesystem::exists(epoch_path / kSealMarker, seal_ec);
-      if (sealed_now == info.sealed) break;  // consistent snapshot
+      // A corrupt or other-version profile, or an in-flight write from an
+      // interrupted flush (even if complete, the rename never committed
+      // it): set aside for post-mortem, out of every listing.
+      const std::filesystem::path q_dir = epoch_path / ".quarantine";
+      std::error_code q_ec;
+      std::filesystem::create_directories(q_dir, q_ec);
+      std::filesystem::rename(file_path, q_dir / file_name, q_ec);
+      if (q_ec) std::filesystem::remove(file_path, q_ec);
+      ++report.files_quarantined;
     }
-    report.files_checked += files_checked;
-    report.files_recovered += files_recovered;
-    report.epochs.push_back(info);
   }
-  report.next_epoch = any_epoch ? max_epoch + 1 : 0;
+  report.epochs_found = static_cast<uint32_t>(epochs.size());
+  report.next_epoch = epochs.empty() ? 0 : epochs.back() + 1;
   return report;
 }
 
@@ -413,10 +326,7 @@ bool ProfileDatabase::has_open_epoch() const {
   return have_epoch_;
 }
 
-Result<uint32_t> ProfileDatabase::EnterEpoch(uint32_t epoch) {
-  std::error_code ec;
-  std::filesystem::create_directories(EpochDir(epoch), ec);
-  if (ec) return IoError("cannot create epoch dir: " + ec.message());
+uint32_t ProfileDatabase::EnterEpoch(uint32_t epoch) {
   current_epoch_ = epoch;
   have_epoch_ = true;
   return epoch;
@@ -447,9 +357,12 @@ Status ProfileDatabase::ReplaceProfile(const ImageProfile& profile) {
     return FailedPrecondition("database opened read-only");
   }
   MutexLock lock(&mu_);
-  if (!have_epoch_) DCPI_RETURN_IF_ERROR(EnterEpoch(next_epoch_).status());
-  std::string path = EpochDir(current_epoch_) + "/" +
-                     ProfileFileName(profile.image_name(), profile.event());
+  if (!have_epoch_) EnterEpoch(next_epoch_);
+  const std::string dir = EpochDir(current_epoch_);
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) return IoError("cannot create epoch dir: " + ec.message());
+  std::string path = dir + "/" + ProfileFileName(profile.image_name(), profile.event());
   std::vector<uint8_t> serialized = SerializeProfile(profile);
   size_t serialized_size = serialized.size();
   DCPI_RETURN_IF_ERROR(WriteFileAtomic(path, std::move(serialized)));

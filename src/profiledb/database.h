@@ -8,20 +8,23 @@
 //
 // Durability: profile files are written with WriteFileAtomic (temp + fsync
 // + rename) and carry a CRC32 trailer (version 3, or version 4 when the
-// profile has a memory axis); no other version is read.
-// Opening a database read-write scans the existing epoch_* directories,
-// validates every profile file, quarantines corrupt, other-version or
-// in-flight files to epoch_<N>/.quarantine/, and resumes epoch numbering
-// at max + 1 so a new run never merges into a previous run's epochs. The
-// scan's outcome is exposed as a ScanReport.
+// profile has a memory axis); no other version is read. An epoch_<N>/
+// directory appears with the epoch's first profile write.
+// Opening a database read-write is the writer's recovery: it scans the
+// existing epoch_* directories, validates every profile file, quarantines
+// corrupt, other-version or in-flight files to epoch_<N>/.quarantine/, and
+// resumes epoch numbering at max + 1 so a new run never merges into a
+// previous run's epochs. The scan's outcome is exposed as a ScanReport.
 //
 // Continuous operation: the writing daemon seals an epoch when its load
 // maps change (or on a timed roll) by atomically writing an epoch_<N>/
 // .sealed marker before advancing to the next epoch. A sealed epoch is
 // immutable, so analysis tools opened in kReadOnly mode get snapshot-
 // consistent reads of every sealed epoch while collection continues in
-// the live (unsealed) one. Read-only opens never create directories,
-// never quarantine, and treat in-flight .tmp files as invisible.
+// the live (unsealed) one. A read-only open reads nothing: each profile
+// is read, and its CRC checked, when a reader asks for it. It never
+// creates directories, never quarantines, and treats in-flight .tmp files
+// as invisible.
 
 #ifndef SRC_PROFILEDB_DATABASE_H_
 #define SRC_PROFILEDB_DATABASE_H_
@@ -50,46 +53,33 @@ Result<ImageProfile> DeserializeProfile(const std::vector<uint8_t>& bytes);
 // DeserializeProfile rejects it.
 std::vector<uint8_t> SerializeProfileFixedWidth(const ImageProfile& profile);
 
-// kReadWrite runs the recovery scan with quarantine and resumes epoch
-// numbering; kReadOnly is for analysis tools reading a database another
-// process may still be writing: no directory creation, no quarantine or
-// renames, in-flight .tmp files invisible, and every mutating call fails.
+// kReadWrite is the writer: the open runs the recovery scan, which
+// quarantines and resumes epoch numbering. kReadOnly is for analysis tools
+// reading a database another process may still be writing: the open reads
+// nothing, and there is no directory creation, no quarantine or renames,
+// in-flight .tmp files are invisible, and every mutating call fails.
 enum class DbOpenMode { kReadWrite, kReadOnly };
 
-// Per-epoch outcome of the recovery scan (dcpistats shows these so an
-// operator can watch a continuous run's pipeline progress).
-struct EpochScanInfo {
-  uint32_t epoch = 0;
-  bool sealed = false;       // .sealed marker present at scan time
-  uint64_t files = 0;        // valid .prof files
-  uint64_t samples = 0;      // total samples across those files
-};
-
-// Outcome of the recovery scan a ProfileDatabase runs on open.
+// Outcome of the recovery scan a read-write open runs (all zero for a
+// read-only open, which does not scan).
 struct ScanReport {
   uint32_t epochs_found = 0;
   uint32_t next_epoch = 0;         // where the next NewEpoch/write lands
   uint64_t files_checked = 0;      // .prof files validated
   uint64_t files_recovered = 0;    // valid profiles retained
   uint64_t files_quarantined = 0;  // corrupt or in-flight files set aside
-  std::vector<EpochScanInfo> epochs;  // ascending epoch order
-
-  // "profile db scan: 2 epoch(s), 5 file(s) checked, 4 recovered,
-  //  1 quarantined, next epoch 2"
-  std::string ToString() const;
-  // One line per epoch: "  epoch 0: 4 file(s), 1234 sample(s), sealed".
-  std::string DetailString() const;
 };
 
 class ProfileDatabase {
  public:
-  // Opens (creating if needed, in kReadWrite mode) the database at
-  // `root_dir` and runs the recovery scan; see scan_report() for what it
-  // found.
+  // Opens the database at `root_dir`. In kReadWrite mode the root is
+  // created if needed and the recovery scan runs; see scan_report() for
+  // what it found.
   explicit ProfileDatabase(std::string root_dir,
                            DbOpenMode mode = DbOpenMode::kReadWrite);
 
-  // Starts a new epoch (creates the directory); returns its index.
+  // Moves the write cursor to a new epoch and returns its index; the
+  // epoch's directory appears with its first ReplaceProfile.
   //
   // Thread safety: the epoch cursor (current_epoch/NewEpoch) and all
   // writes are serialized by an internal mutex, so a concurrent timed
@@ -101,18 +91,20 @@ class ProfileDatabase {
   // True once an epoch has been opened (by NewEpoch or a first write).
   bool has_open_epoch() const;
 
-  // Points the write cursor at a specific epoch (creating its directory if
-  // needed), for writers that mirror an external epoch numbering — the
-  // fleet compactor materializes host epoch K of every shard as epoch K of
-  // the merged database. Refuses sealed epochs (they are immutable).
+  // Points the write cursor at a specific epoch (its directory appears with
+  // its first ReplaceProfile), for writers that mirror an external epoch
+  // numbering — the fleet compactor materializes host epoch K of every
+  // shard as epoch K of the merged database. Refuses sealed epochs (they
+  // are immutable).
   Result<uint32_t> OpenEpoch(uint32_t epoch);
 
   // Overwrites the on-disk file for the current epoch (opening the next
-  // epoch if none is open yet) with `profile`. This is the database's one
-  // write: the daemon keeps each epoch's cumulative profile in memory, so
-  // periodic flushes of the same epoch replace rather than re-merge, and
-  // the fleet compactor writes each merged profile once. The write is
-  // atomic: on any failure the previous file contents remain intact.
+  // epoch if none is open yet, and creating its directory) with `profile`.
+  // This is the database's one write: the daemon keeps each epoch's
+  // cumulative profile in memory, so periodic flushes of the same epoch
+  // replace rather than re-merge, and the fleet compactor writes each
+  // merged profile once. The write is atomic: on any failure the previous
+  // file contents remain intact.
   Status ReplaceProfile(const ImageProfile& profile);
 
   Result<ImageProfile> ReadProfile(uint32_t epoch, const std::string& image_name,
@@ -120,9 +112,9 @@ class ProfileDatabase {
 
   // The one epoch fold every reader uses: the (image, event) profile of
   // each of `epochs`, merged in ascending epoch order. An epoch whose read
-  // fails (no file, bad checksum, truncation) is skipped, as the recovery
-  // scan and fleet compaction skip an unreadable file. NotFound if no
-  // epoch has a readable profile.
+  // fails (no file, bad checksum, truncation) is skipped, as fleet
+  // compaction skips an unreadable file. NotFound if no epoch has a
+  // readable profile.
   Result<ImageProfile> ReadMerged(std::vector<uint32_t> epochs,
                                   const std::string& image_name,
                                   EventType event) const;
@@ -171,8 +163,9 @@ class ProfileDatabase {
  private:
   std::string EpochDir(uint32_t epoch) const;
   std::string SealMarkerPath(uint32_t epoch) const;
-  // Creates `epoch`'s directory and moves the epoch cursor to it.
-  Result<uint32_t> EnterEpoch(uint32_t epoch) REQUIRES(mu_);
+  // Moves the epoch cursor to `epoch` and returns it.
+  uint32_t EnterEpoch(uint32_t epoch) REQUIRES(mu_);
+  // The writer's recovery scan (read-write opens only).
   ScanReport ScanAndRecover() const;
 
   std::string root_;

@@ -203,8 +203,8 @@ Status CompactFleet(const FleetView& fleet, const std::string& out_root,
 
     // Group by (image, event) across hosts. Filenames cannot be parsed back
     // into image names unambiguously (escaping), so the grouping key comes
-    // from the deserialized payload. Unreadable files are skipped, matching
-    // the read-only scan's treatment of corrupt shard data.
+    // from the deserialized payload. Unreadable files are skipped, as
+    // ReadMerged skips them, so compaction writes what merge-on-read shows.
     std::map<std::pair<std::string, EventType>, std::vector<size_t>> groups;
     for (size_t i = 0; i < slots.size(); ++i) {
       if (!slots[i].ok()) continue;

@@ -31,10 +31,6 @@ FaultInjectingEnv* SetFaultInjectingEnv(FaultInjectingEnv* env) {
   return g_fault_env.exchange(env, std::memory_order_acq_rel);
 }
 
-FaultInjectingEnv* GetFaultInjectingEnv() {
-  return g_fault_env.load(std::memory_order_acquire);
-}
-
 Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return IoError("cannot open for write: " + path);

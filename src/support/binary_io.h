@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -174,32 +173,16 @@ class FaultInjectingEnv {
     return (index >= first_ && index <= last_) ? fault_ : WriteFault::kNone;
   }
 
-  // Arms a hook the database recovery scan invokes per epoch between its
-  // directory listing and the per-file reads — the window in which a
-  // concurrent writer's final flush and .sealed marker can land. The race
-  // regression tests use it to mutate the epoch mid-scan.
-  void SetEpochScanHook(std::function<void(uint32_t)> hook) {
-    scan_hook_ = std::move(hook);
-  }
-  void OnEpochScan(uint32_t epoch) {
-    if (scan_hook_) scan_hook_(epoch);
-  }
-
  private:
   WriteFault fault_ = WriteFault::kNone;
   int first_ = 0;
   int last_ = -1;
   std::atomic<int> write_index_{0};
-  std::function<void(uint32_t)> scan_hook_;
 };
 
 // Installs `env` as the process-wide injector consulted by WriteFileAtomic
 // (nullptr disarms). Returns the previously installed injector.
 FaultInjectingEnv* SetFaultInjectingEnv(FaultInjectingEnv* env);
-
-// The currently installed injector (nullptr when disarmed). The database
-// recovery scan consults it for the epoch-scan hook.
-FaultInjectingEnv* GetFaultInjectingEnv();
 
 }  // namespace dcpi
 

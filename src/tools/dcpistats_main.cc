@@ -14,12 +14,9 @@
 //
 // By default every sealed epoch is a sample set (a fresh batch database
 // with no seals uses every epoch); --epoch N (repeatable) names epochs
-// explicitly. At least two epochs must resolve. The recovery-scan summary
-// plus per-epoch file/sample/seal details are printed to stderr, so an
-// operator can watch a continuous run's pipeline progress. Profile reads
-// fan out over --jobs worker threads (default: hardware concurrency);
-// sample sets are assembled in epoch order, so output is byte-identical
-// for any jobs count.
+// explicitly. At least two epochs must resolve. Profile reads fan out over
+// --jobs worker threads (default: hardware concurrency); sample sets are
+// assembled in epoch order, so output is byte-identical for any jobs count.
 
 #include <cstdio>
 #include <string>
@@ -32,13 +29,6 @@ namespace dcpi {
 namespace {
 
 Status Stats(const ToolRun& run) {
-  if (!run.fleet) {
-    const ScanReport& scan = run.view.host(0).scan_report();
-    if (scan.files_checked > 0 || scan.files_quarantined > 0) {
-      std::fprintf(stderr, "%s\n%s", scan.ToString().c_str(),
-                   scan.DetailString().c_str());
-    }
-  }
   // One sample set per epoch normally; one per host, folded across the
   // epochs, with --fleet.
   std::vector<ProfileSet> sets;

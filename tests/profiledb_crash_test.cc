@@ -248,69 +248,6 @@ TEST_F(ProfileDbCrashTest, DaemonFlushReportsPersistentFailureAndContinues) {
 
 // ---- Recovery scan ----
 
-TEST_F(ProfileDbCrashTest, ReadOnlyScanRescansWhenEpochSealsMidScan) {
-  // Race regression: a concurrent writer's final flush and .sealed marker
-  // land in the window between the read-only scan's directory listing and
-  // its per-file reads. A single-pass scan would report the epoch unsealed
-  // yet miss the file the seal guarantees is final; the scan must detect
-  // the unsealed-to-sealed transition and rescan the (now immutable) epoch.
-  {
-    ProfileDatabase db(root_);
-    ASSERT_TRUE(db.NewEpoch().ok());
-    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("early", 3)).ok());
-    // not sealed: the writer is still mid-epoch
-  }
-  FaultInjectingEnv env;
-  bool fired = false;
-  env.SetEpochScanHook([&](uint32_t epoch) {
-    if (fired || epoch != 0) return;  // fire once; the rescan must not loop
-    fired = true;
-    const std::string epoch_dir = root_ + "/epoch_0";
-    ASSERT_TRUE(WriteFileAtomic(
-                    epoch_dir + "/" +
-                        ProfileDatabase::ProfileFileName("late", EventType::kCycles),
-                    SerializeProfile(MakeProfile("late", 5)))
-                    .ok());
-    ASSERT_TRUE(WriteFileAtomic(epoch_dir + "/.sealed", {}).ok());
-  });
-  SetFaultInjectingEnv(&env);
-  ProfileDatabase reader(root_, DbOpenMode::kReadOnly);
-  SetFaultInjectingEnv(nullptr);
-  ASSERT_TRUE(fired);
-
-  // The surviving pass saw the sealed epoch with both files; the aborted
-  // first pass contributes nothing to the counters.
-  const ScanReport& report = reader.scan_report();
-  ASSERT_EQ(report.epochs.size(), 1u);
-  EXPECT_TRUE(report.epochs[0].sealed);
-  EXPECT_EQ(report.epochs[0].files, 2u);
-  EXPECT_EQ(report.epochs[0].samples, 8u);
-  EXPECT_EQ(report.files_checked, 2u);
-  EXPECT_EQ(report.files_recovered, 2u);
-  EXPECT_EQ(SamplesOrZero(reader, 0, "early"), 3u);
-  EXPECT_EQ(SamplesOrZero(reader, 0, "late"), 5u);
-}
-
-TEST_F(ProfileDbCrashTest, ReadWriteScanDoesNotRescan) {
-  // The recovery scan on a read-write open is the writer itself: the hook
-  // fires exactly once per epoch and no second pass runs (a rescan would
-  // double-quarantine).
-  {
-    ProfileDatabase db(root_);
-    ASSERT_TRUE(db.NewEpoch().ok());
-    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("app", 2)).ok());
-    ASSERT_TRUE(db.SealCurrentEpoch().ok());
-  }
-  FaultInjectingEnv env;
-  int hook_calls = 0;
-  env.SetEpochScanHook([&](uint32_t) { ++hook_calls; });
-  SetFaultInjectingEnv(&env);
-  ProfileDatabase reopened(root_);
-  SetFaultInjectingEnv(nullptr);
-  EXPECT_EQ(hook_calls, 1);
-  EXPECT_EQ(reopened.scan_report().files_checked, 1u);
-}
-
 TEST_F(ProfileDbCrashTest, OtherVersionFileIsQuarantinedOnlyByReadWriteOpen) {
   // A version-2 file (the varint body without a CRC32 trailer) in an
   // epoch. Only versions 3 and 4 are read, so it is not a valid profile.
@@ -320,10 +257,11 @@ TEST_F(ProfileDbCrashTest, OtherVersionFileIsQuarantinedOnlyByReadWriteOpen) {
   std::filesystem::create_directories(root_ + "/epoch_0");
   ASSERT_TRUE(WriteFile(root_ + "/epoch_0/" + name, v2).ok());
 
-  // A read-only open leaves the file where it is and cannot read it.
+  // A read-only open scans nothing, leaves the file where it is and cannot
+  // read it.
   {
     ProfileDatabase reader(root_, DbOpenMode::kReadOnly);
-    EXPECT_EQ(reader.scan_report().files_checked, 1u);
+    EXPECT_EQ(reader.scan_report().files_checked, 0u);
     EXPECT_EQ(reader.scan_report().files_recovered, 0u);
     EXPECT_EQ(reader.scan_report().files_quarantined, 0u);
     EXPECT_TRUE(std::filesystem::exists(root_ + "/epoch_0/" + name));
