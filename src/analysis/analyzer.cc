@@ -96,7 +96,7 @@ Result<ProcedureAnalysis> AnalyzeProcedure(const ExecutableImage& image,
                                            const ImageProfile* dmiss,
                                            const ImageProfile* branchmp,
                                            const ImageProfile* dtbmiss,
-                                           const AnalysisConfig& config,
+                                           const AnalysisConfig& /*config*/,
                                            AnalysisScratch* scratch) {
   AnalysisScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
@@ -108,7 +108,6 @@ Result<ProcedureAnalysis> AnalyzeProcedure(const ExecutableImage& image,
   const Cfg& graph = analysis.cfg;
 
   const size_t num_instrs = (proc.end - proc.start) / kInstrBytes;
-  PipelineModel model(config.pipeline);
 
   // Dense per-procedure sample vectors: one ordered-map range walk per
   // profile instead of a map lookup per instruction.
@@ -148,7 +147,7 @@ Result<ProcedureAnalysis> AnalyzeProcedure(const ExecutableImage& image,
     for (size_t k = 0; k < block.num_instructions(); ++k) {
       block_instrs.push_back(analysis.instructions[first + k].inst);
     }
-    analysis.schedules[b] = ScheduleBlock(model, block_instrs);
+    analysis.schedules[b] = ScheduleBlock(block_instrs);
     for (size_t k = 0; k < block.num_instructions(); ++k) {
       InstructionAnalysis& ia = analysis.instructions[first + k];
       const StaticInstr& si = analysis.schedules[b].instrs[k];
@@ -164,8 +163,7 @@ Result<ProcedureAnalysis> AnalyzeProcedure(const ExecutableImage& image,
 
   // Frequencies and CPI.
   double period = cycles.mean_period();
-  analysis.frequencies =
-      EstimateFrequencies(graph, analysis.schedules, samples, period, config.frequency);
+  analysis.frequencies = EstimateFrequencies(graph, analysis.schedules, samples, period);
   for (InstructionAnalysis& ia : analysis.instructions) {
     if (ia.block >= 0) {
       ia.frequency = analysis.frequencies.block_freq[ia.block];
@@ -191,7 +189,7 @@ Result<ProcedureAnalysis> AnalyzeProcedure(const ExecutableImage& image,
 
   for (size_t k = 0; k < num_instrs; ++k) {
     InstructionAnalysis& ia = analysis.instructions[k];
-    if (ia.dynamic_stall < config.min_dynamic_stall || ia.frequency <= 0) continue;
+    if (ia.dynamic_stall < kMinDynamicStall || ia.frequency <= 0) continue;
     const BasicBlock& block = graph.blocks()[ia.block];
     int block_first = static_cast<int>((block.start_pc - proc.start) / kInstrBytes);
     bool at_block_head = ia.pc == block.start_pc;
@@ -200,12 +198,12 @@ Result<ProcedureAnalysis> AnalyzeProcedure(const ExecutableImage& image,
     bool icache_candidate;
     if (!at_block_head) {
       // Mid-block: only possible at a cache-line boundary.
-      icache_candidate = ia.pc % config.icache_line_bytes == 0;
+      icache_candidate = ia.pc % kIcacheGeometry.line_bytes == 0;
     } else {
       // Block head: ruled out if every frequently-executed predecessor's
       // last instruction shares this instruction's cache line.
       icache_candidate = false;
-      uint64_t line = ia.pc / config.icache_line_bytes;
+      uint64_t line = ia.pc / kIcacheGeometry.line_bytes;
       for (int e : block.in_edges) {
         const CfgEdge& edge = graph.edges()[e];
         if (edge.from == kCfgEntry) {
@@ -213,12 +211,11 @@ Result<ProcedureAnalysis> AnalyzeProcedure(const ExecutableImage& image,
           continue;
         }
         double edge_freq = analysis.frequencies.edge_freq[e];
-        if (edge_freq < config.icache_rule_freq_fraction * ia.frequency &&
-            edge_freq >= 0) {
+        if (edge_freq < kIcacheRuleFreqFraction * ia.frequency && edge_freq >= 0) {
           continue;  // rarely-taken edge: ignore
         }
         uint64_t pred_last = graph.blocks()[edge.from].end_pc - kInstrBytes;
-        if (pred_last / config.icache_line_bytes != line) icache_candidate = true;
+        if (pred_last / kIcacheGeometry.line_bytes != line) icache_candidate = true;
       }
       if (block.in_edges.empty()) icache_candidate = true;
     }
@@ -229,12 +226,11 @@ Result<ProcedureAnalysis> AnalyzeProcedure(const ExecutableImage& image,
       double imiss_events = event_count(kEvImiss, ia.pc);
       double stall_cycles_total = ia.dynamic_stall * ia.frequency;
       if (imiss_events >= 0) {
-        double bound = imiss_events * static_cast<double>(config.max_fill_cycles);
+        double bound = imiss_events * static_cast<double>(kMaxFillCycles);
         if (bound < 0.05 * stall_cycles_total) icache_candidate = false;
         if (icache_candidate) {
-          ia.icache_floor_cycles =
-              std::min(stall_cycles_total,
-                       imiss_events * static_cast<double>(config.min_fill_cycles));
+          ia.icache_floor_cycles = std::min(
+              stall_cycles_total, imiss_events * static_cast<double>(kMinFillCycles));
         }
       }
     }
@@ -251,14 +247,13 @@ Result<ProcedureAnalysis> AnalyzeProcedure(const ExecutableImage& image,
     int nsrcs = ia.inst.SourceRegs(srcs);
     for (int s = 0; s < nsrcs; ++s) {
       bool found_load = false;
-      int producer = FindProducer(analysis.instructions, static_cast<int>(k),
-                                  block_first, srcs[s], config.lookback_instructions,
-                                  &found_load);
+      int producer = FindProducer(analysis.instructions, static_cast<int>(k), block_first,
+                                  srcs[s], kLookbackInstructions, &found_load);
       if (producer >= 0 && found_load) {
         dcache_candidate = true;
         ia.dcache_culprit_pc = analysis.instructions[producer].pc;
-      } else if (producer < 0 && static_cast<int>(k) - block_first <
-                                     config.lookback_instructions) {
+      } else if (producer < 0 &&
+                 static_cast<int>(k) - block_first < kLookbackInstructions) {
         // Producer not in this block: pessimistically possible.
         dcache_candidate = true;
       }
@@ -268,7 +263,7 @@ Result<ProcedureAnalysis> AnalyzeProcedure(const ExecutableImage& image,
                                                       ? ia.dcache_culprit_pc
                                                       : ia.pc);
       if (dmiss_events >= 0) {
-        double bound = dmiss_events * static_cast<double>(config.max_fill_cycles);
+        double bound = dmiss_events * static_cast<double>(kMaxFillCycles);
         if (bound < 0.05 * ia.dynamic_stall * ia.frequency) dcache_candidate = false;
       }
     }
@@ -310,8 +305,7 @@ Result<ProcedureAnalysis> AnalyzeProcedure(const ExecutableImage& image,
     if (mp_candidate) {
       double mp_events = event_count(kEvBranchMp, ia.pc);
       if (mp_events >= 0) {
-        double bound =
-            mp_events * static_cast<double>(config.pipeline.mispredict_penalty) * 4;
+        double bound = mp_events * static_cast<double>(kMispredictPenalty) * 4;
         if (bound < 0.05 * ia.dynamic_stall * ia.frequency) mp_candidate = false;
       }
     }
@@ -321,7 +315,7 @@ Result<ProcedureAnalysis> AnalyzeProcedure(const ExecutableImage& image,
     bool imul_candidate = false, fdiv_candidate = false;
     int scanned = 0;
     for (int j = static_cast<int>(k) - 1;
-         j >= block_first && scanned < config.lookback_instructions; --j, ++scanned) {
+         j >= block_first && scanned < kLookbackInstructions; --j, ++scanned) {
       if (PipelineModel::UsesImul(analysis.instructions[j].inst)) imul_candidate = true;
       if (PipelineModel::UsesFdiv(analysis.instructions[j].inst)) fdiv_candidate = true;
     }

@@ -15,6 +15,7 @@
 #include "src/analysis/frequency.h"
 #include "src/analysis/static_schedule.h"
 #include "src/check/check.h"
+#include "src/memory/memory_system.h"
 #include "src/profiledb/profile.h"
 
 namespace dcpi {
@@ -37,19 +38,19 @@ inline constexpr int kNumCulpritKinds = static_cast<int>(CulpritKind::kCulpritKi
 const char* CulpritKindName(CulpritKind kind);
 char CulpritKindLetter(CulpritKind kind);  // Figure 2's bubble letters
 
+// Costs of one cache miss as the culprit rules bound it: a fill from
+// memory (pessimistic) and a fill from the board cache (optimistic).
+inline constexpr uint64_t kMaxFillCycles = kBoardLatency + kMemoryLatency;
+inline constexpr uint64_t kMinFillCycles = kBoardLatency;
+// Predecessors executed less than this fraction of the stalled
+// instruction's frequency are ignored by the I-cache rule.
+inline constexpr double kIcacheRuleFreqFraction = 0.5;
+// How many instructions back to search for producing loads / busy units.
+inline constexpr int kLookbackInstructions = 8;
+// Dynamic stall below this (cycles per execution) is ignored.
+inline constexpr double kMinDynamicStall = 0.3;
+
 struct AnalysisConfig {
-  PipelineConfig pipeline;          // must match the profiled machine
-  uint64_t icache_line_bytes = 32;
-  uint64_t max_fill_cycles = 88;    // pessimistic miss cost (event bounds)
-  uint64_t min_fill_cycles = 8;     // optimistic miss cost (board-cache hit)
-  // Predecessors executed less than this fraction of the stalled
-  // instruction's frequency are ignored by the I-cache rule.
-  double icache_rule_freq_fraction = 0.5;
-  // How many instructions back to search for producing loads / busy units.
-  int lookback_instructions = 8;
-  // Dynamic stall below this (cycles per execution) is ignored.
-  double min_dynamic_stall = 0.3;
-  FrequencyTuning frequency;
   // Run the src/check verification passes (CFG structure, differential
   // cycle equivalence, flow conservation, schedule invariants) over the
   // analysis and record the findings in ProcedureAnalysis::selfcheck_report.

@@ -208,12 +208,4 @@ std::vector<int> Cfg::EntryEdges() const {
   return ids;
 }
 
-std::vector<int> Cfg::ExitEdges() const {
-  std::vector<int> ids;
-  for (const CfgEdge& e : edges_) {
-    if (e.to == kCfgExit) ids.push_back(e.id);
-  }
-  return ids;
-}
-
 }  // namespace dcpi

@@ -58,9 +58,8 @@ class Cfg {
   // Block containing `pc` (-1 if outside the procedure).
   int BlockIndexFor(uint64_t pc) const;
 
-  // Entry / exit edge ids (virtual entry->first block, block->exit).
+  // Entry edge ids (virtual entry->first block).
   std::vector<int> EntryEdges() const;
-  std::vector<int> ExitEdges() const;
 
  private:
   std::vector<BasicBlock> blocks_;

@@ -538,32 +538,32 @@ uint32_t ProfileSetCrc(const AnalysisInput& input) {
 uint64_t ConfigFingerprint(const AnalysisConfig& config) {
   ByteWriter w;
   w.PutU8(1);  // fingerprint layout version
-  const PipelineConfig& p = config.pipeline;
-  w.PutU64(p.int_latency);
-  w.PutU64(p.imul_latency);
-  w.PutU64(p.fp_latency);
-  w.PutU64(p.fpmul_latency);
-  w.PutU64(p.fdiv_latency);
-  w.PutU64(p.imul_repeat);
-  w.PutU64(p.fdiv_repeat);
-  w.PutU32(p.fetch_width);
-  w.PutU64(p.taken_branch_bubble);
-  w.PutU64(p.jump_bubble);
-  w.PutU64(p.mispredict_penalty);
-  w.PutU64(p.load_hit_latency);
-  w.PutU64(config.icache_line_bytes);
-  w.PutU64(config.max_fill_cycles);
-  w.PutU64(config.min_fill_cycles);
-  PutF64(&w, config.icache_rule_freq_fraction);
-  w.PutU64(static_cast<uint64_t>(config.lookback_instructions));
-  PutF64(&w, config.min_dynamic_stall);
-  const FrequencyTuning& t = config.frequency;
-  PutF64(&w, t.cluster_width);
-  PutF64(&w, t.min_cluster_fraction);
-  w.PutU64(t.few_samples_threshold);
-  PutF64(&w, t.max_reasonable_stall);
-  w.PutU64(static_cast<uint64_t>(t.max_propagation_passes));
-  w.PutU64(t.min_nonleading_points);
+  // Every machine and tuning constant the analysis reads, so that editing
+  // one misses every cached result.
+  w.PutU64(kIntLatency);
+  w.PutU64(kImulLatency);
+  w.PutU64(kFpLatency);
+  w.PutU64(kFpMulLatency);
+  w.PutU64(kFdivLatency);
+  w.PutU64(kImulRepeat);
+  w.PutU64(kFdivRepeat);
+  w.PutU32(kFetchPerCycle);
+  w.PutU64(kTakenBranchBubble);
+  w.PutU64(kJumpBubble);
+  w.PutU64(kMispredictPenalty);
+  w.PutU64(kLoadHitLatency);
+  w.PutU64(kIcacheGeometry.line_bytes);
+  w.PutU64(kMaxFillCycles);
+  w.PutU64(kMinFillCycles);
+  PutF64(&w, kIcacheRuleFreqFraction);
+  w.PutU64(static_cast<uint64_t>(kLookbackInstructions));
+  PutF64(&w, kMinDynamicStall);
+  PutF64(&w, kClusterWidth);
+  PutF64(&w, kMinClusterFraction);
+  w.PutU64(kFewSamplesThreshold);
+  PutF64(&w, kMaxReasonableStall);
+  w.PutU64(static_cast<uint64_t>(kMaxPropagationPasses));
+  w.PutU64(kMinNonleadingPoints);
   w.PutU8(config.selfcheck ? 1 : 0);
   Fnv1a64 h;
   h.Bytes(w.bytes().data(), w.bytes().size());

@@ -179,8 +179,9 @@ uint32_t ImageContentCrc(const ExecutableImage& image);
 // Neither fold keys anything; the benchmark's key-cost probe calls both.
 uint32_t ProfileSetCrc(const AnalysisInput& input);
 
-// 64-bit hash over every analysis-affecting AnalysisConfig field
-// (pipeline latencies, fill costs, tuning, selfcheck flag, ...).
+// 64-bit hash over everything that shapes an analysis result: the machine
+// constants (pipeline latencies, fill costs), the analysis tuning
+// constants and the selfcheck flag.
 uint64_t ConfigFingerprint(const AnalysisConfig& config);
 
 // The cache slot for a procedure under `cache_dir`: a file named by a hash

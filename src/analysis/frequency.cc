@@ -42,12 +42,12 @@ struct ClassData {
 
 // Estimates a class frequency ratio from its issue points; returns the
 // confidence of the estimate.
-Confidence EstimateClassRatio(const FrequencyTuning& tuning, ClassData* cls) {
+Confidence EstimateClassRatio(ClassData* cls) {
   if (cls->total_m == 0) return Confidence::kNone;
   double sum_ratio = static_cast<double>(cls->total_samples) /
                      static_cast<double>(cls->total_m);
   if (cls->issue_points.empty()) return Confidence::kNone;
-  if (cls->total_samples < tuning.few_samples_threshold) {
+  if (cls->total_samples < kFewSamplesThreshold) {
     // Too few samples for clustering: aggregate ratio, low confidence.
     cls->ratio = sum_ratio;
     return Confidence::kLow;
@@ -60,7 +60,7 @@ Confidence EstimateClassRatio(const FrequencyTuning& tuning, ClassData* cls) {
   for (const IssuePoint& p : cls->issue_points) {
     if (!p.block_leader) ++nonleading;
   }
-  bool use_all = nonleading < tuning.min_nonleading_points;
+  bool use_all = nonleading < kMinNonleadingPoints;
   std::vector<double> ratios;
   ratios.reserve(cls->issue_points.size());
   for (const IssuePoint& p : cls->issue_points) {
@@ -69,13 +69,13 @@ Confidence EstimateClassRatio(const FrequencyTuning& tuning, ClassData* cls) {
   std::sort(ratios.begin(), ratios.end());
 
   size_t min_points = std::max<size_t>(
-      1, static_cast<size_t>(std::ceil(tuning.min_cluster_fraction *
+      1, static_cast<size_t>(std::ceil(kMinClusterFraction *
                                        static_cast<double>(ratios.size()))));
 
   for (size_t start = 0; start < ratios.size(); ++start) {
     if (ratios[start] <= 0) continue;
     double lo = ratios[start];
-    double hi = lo * tuning.cluster_width;
+    double hi = lo * kClusterWidth;
     size_t end = start;
     double sum = 0;
     while (end < ratios.size() && ratios[end] <= hi) sum += ratios[end++];
@@ -87,7 +87,7 @@ Confidence EstimateClassRatio(const FrequencyTuning& tuning, ClassData* cls) {
     bool anomalous = false;
     for (const IssuePoint& p : cls->issue_points) {
       double implied_cycles = static_cast<double>(p.samples) / estimate;
-      if (implied_cycles - static_cast<double>(p.m) > tuning.max_reasonable_stall) {
+      if (implied_cycles - static_cast<double>(p.m) > kMaxReasonableStall) {
         anomalous = true;
         break;
       }
@@ -125,8 +125,7 @@ EquivalenceGraph BuildEquivalenceGraph(const Cfg& cfg) {
 FrequencyResult EstimateFrequencies(const Cfg& cfg,
                                     const std::vector<BlockSchedule>& schedules,
                                     const std::vector<uint64_t>& samples,
-                                    double period,
-                                    const FrequencyTuning& tuning) {
+                                    double period) {
   const int num_blocks = static_cast<int>(cfg.blocks().size());
   const int num_edges = static_cast<int>(cfg.edges().size());
   FrequencyResult result;
@@ -193,7 +192,7 @@ FrequencyResult EstimateFrequencies(const Cfg& cfg,
 
   // ---- Per-class estimates ----
   for (ClassData& cls : classes) {
-    cls.conf = EstimateClassRatio(tuning, &cls);
+    cls.conf = EstimateClassRatio(&cls);
     if (cls.ratio < 0) continue;
     double freq = cls.ratio * period;
     for (int b : cls.blocks) {
@@ -238,7 +237,7 @@ FrequencyResult EstimateFrequencies(const Cfg& cfg,
     }
   };
 
-  for (int pass = 0; pass < tuning.max_propagation_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPropagationPasses; ++pass) {
     bool changed = false;
     for (int b = 0; b < num_blocks; ++b) {
       const BasicBlock& block = cfg.blocks()[b];

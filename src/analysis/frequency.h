@@ -33,17 +33,16 @@ enum class Confidence : uint8_t { kNone = 0, kLow, kMedium, kHigh };
 
 const char* ConfidenceName(Confidence confidence);
 
-struct FrequencyTuning {
-  double cluster_width = 1.5;          // max ratio / min ratio within a cluster
-  double min_cluster_fraction = 0.25;  // of the class's issue points
-  uint64_t few_samples_threshold = 100;
-  double max_reasonable_stall = 500.0;  // implied cycles at another issue point
-  int max_propagation_passes = 64;
-  // Block-leading issue points absorb branch-mispredict and I-cache skid;
-  // when a class has enough other issue points, exclude the leaders from
-  // the ratio clustering.
-  size_t min_nonleading_points = 2;
-};
+// Tuning of the estimator.
+inline constexpr double kClusterWidth = 1.5;          // max ratio / min ratio within a cluster
+inline constexpr double kMinClusterFraction = 0.25;   // of the class's issue points
+inline constexpr uint64_t kFewSamplesThreshold = 100;
+inline constexpr double kMaxReasonableStall = 500.0;  // implied cycles at another issue point
+inline constexpr int kMaxPropagationPasses = 64;
+// Block-leading issue points absorb branch-mispredict and I-cache skid;
+// when a class has enough other issue points, exclude the leaders from
+// the ratio clustering.
+inline constexpr size_t kMinNonleadingPoints = 2;
 
 // The node-split equivalence graph of a CFG (step 1 above): block b becomes
 // vertex pair (2b, 2b+1) joined by a block edge, entry is vertex 2B, exit is
@@ -79,8 +78,7 @@ struct FrequencyResult {
 FrequencyResult EstimateFrequencies(const Cfg& cfg,
                                     const std::vector<BlockSchedule>& schedules,
                                     const std::vector<uint64_t>& samples,
-                                    double period,
-                                    const FrequencyTuning& tuning = FrequencyTuning());
+                                    double period);
 
 }  // namespace dcpi
 

@@ -51,8 +51,7 @@ StaticStallKind FieldOf(const DecodedInst& inst, RegRef reg) {
 
 }  // namespace
 
-BlockSchedule ScheduleBlock(const PipelineModel& model,
-                            const std::vector<DecodedInst>& instrs) {
+BlockSchedule ScheduleBlock(const std::vector<DecodedInst>& instrs) {
   BlockSchedule schedule;
   schedule.instrs.resize(instrs.size());
   if (instrs.empty()) return schedule;
@@ -182,15 +181,15 @@ BlockSchedule ScheduleBlock(const PipelineModel& model,
     // Scoreboard updates.
     if (dest.has_value() && !zero_dest) {
       int bank = static_cast<int>(dest->bank);
-      reg_ready[bank][dest->index] = issue_time + model.ResultLatency(inst);
+      reg_ready[bank][dest->index] = issue_time + PipelineModel::ResultLatency(inst);
       reg_producer[bank][dest->index] = static_cast<int>(i);
     }
     if (PipelineModel::UsesImul(inst)) {
-      imul_free = issue_time + model.config().imul_repeat;
+      imul_free = issue_time + kImulRepeat;
       imul_producer = static_cast<int>(i);
     }
     if (PipelineModel::UsesFdiv(inst)) {
-      fdiv_free = issue_time + model.config().fdiv_repeat;
+      fdiv_free = issue_time + kFdivRepeat;
       fdiv_producer = static_cast<int>(i);
     }
   }

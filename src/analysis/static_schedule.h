@@ -51,8 +51,7 @@ struct BlockSchedule {
 };
 
 // Schedules the instructions of one basic block.
-BlockSchedule ScheduleBlock(const PipelineModel& model,
-                            const std::vector<DecodedInst>& instrs);
+BlockSchedule ScheduleBlock(const std::vector<DecodedInst>& instrs);
 
 }  // namespace dcpi
 

@@ -9,6 +9,15 @@ namespace dcpi {
 
 namespace {
 
+// Relative tolerance when every participant is high confidence.
+constexpr double kHighRelTol = 0.05;
+// Relative tolerance when some participant is only medium confidence.
+constexpr double kMediumRelTol = 0.20;
+// Absolute slack in sampling periods: one CYCLES sample moves an estimate
+// by roughly `period` executions, so frequencies within a few samples of
+// each other are indistinguishable.
+constexpr double kSlackSamples = 2.0;
+
 std::string FormatFreq(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f", value);
@@ -18,8 +27,7 @@ std::string FormatFreq(double value) {
 }  // namespace
 
 bool CheckFlowConservation(const Cfg& cfg, const FrequencyResult& freq,
-                           double period, CheckReport* report,
-                           const FlowCheckOptions& options) {
+                           double period, CheckReport* report) {
   const int num_blocks = static_cast<int>(cfg.blocks().size());
   if (static_cast<int>(freq.block_freq.size()) != num_blocks ||
       freq.edge_freq.size() != cfg.edges().size()) {
@@ -47,10 +55,8 @@ bool CheckFlowConservation(const Cfg& cfg, const FrequencyResult& freq,
         weakest = std::min(weakest, freq.edge_conf[e]);
       }
       if (!usable) continue;
-      double rel = weakest == Confidence::kHigh ? options.high_rel_tol
-                                                : options.medium_rel_tol;
-      double tolerance = rel * std::max(freq.block_freq[b], sum) +
-                         options.slack_samples * period;
+      double rel = weakest == Confidence::kHigh ? kHighRelTol : kMediumRelTol;
+      double tolerance = rel * std::max(freq.block_freq[b], sum) + kSlackSamples * period;
       if (std::fabs(sum - freq.block_freq[b]) <= tolerance) continue;
       clean = false;
       std::string edge_list;

@@ -22,24 +22,12 @@
 
 namespace dcpi {
 
-struct FlowCheckOptions {
-  // Relative tolerance when every participant is high confidence.
-  double high_rel_tol = 0.05;
-  // Relative tolerance when some participant is only medium confidence.
-  double medium_rel_tol = 0.20;
-  // Absolute slack in sampling periods: one CYCLES sample moves an estimate
-  // by roughly `period` executions, so frequencies within a few samples of
-  // each other are indistinguishable.
-  double slack_samples = 2.0;
-};
-
 // Checks inflow == block frequency == outflow for every block whose
 // participants are all medium/high confidence. `period` is the mean
 // sampling period used by the estimate. Returns true if no violation was
 // appended.
 bool CheckFlowConservation(const Cfg& cfg, const FrequencyResult& freq,
-                           double period, CheckReport* report,
-                           const FlowCheckOptions& options = FlowCheckOptions());
+                           double period, CheckReport* report);
 
 }  // namespace dcpi
 

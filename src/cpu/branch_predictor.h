@@ -4,8 +4,8 @@
 #ifndef SRC_CPU_BRANCH_PREDICTOR_H_
 #define SRC_CPU_BRANCH_PREDICTOR_H_
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "src/isa/isa.h"
 
@@ -16,10 +16,13 @@ struct PredictorStats {
   uint64_t mispredicts = 0;
 };
 
+// Counter-table and return-stack sizes of the simulated machine.
+inline constexpr uint32_t kPredictorEntries = 2048;
+inline constexpr uint32_t kRasEntries = 12;
+
 class BranchPredictor {
  public:
-  explicit BranchPredictor(uint32_t table_entries = 2048, uint32_t ras_entries = 12)
-      : table_(table_entries, 1), ras_(ras_entries, 0) {}
+  BranchPredictor() { table_.fill(1); }
 
   // Records the outcome of a conditional branch and returns whether the
   // prediction was correct.
@@ -33,8 +36,8 @@ class BranchPredictor {
   const PredictorStats& stats() const { return stats_; }
 
  private:
-  std::vector<uint8_t> table_;  // 2-bit counters, init weakly-not-taken
-  std::vector<uint64_t> ras_;
+  std::array<uint8_t, kPredictorEntries> table_;  // 2-bit counters, init weakly-not-taken
+  std::array<uint64_t, kRasEntries> ras_ = {};
   uint32_t ras_top_ = 0;
   PredictorStats stats_;
 };

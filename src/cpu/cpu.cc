@@ -27,19 +27,16 @@ uint64_t WrapAdd(int64_t a, int64_t b) {
   return static_cast<uint64_t>(a) + static_cast<uint64_t>(b);
 }
 
+// Duration of a call_pal "nop" window.
+constexpr uint64_t kPalNopCycles = 200;
+
+// log2 of a fetch piece (see Cpu::fetch_piece_).
+constexpr int kFetchPieceShift =
+    std::countr_zero(std::min(kIcacheGeometry.line_bytes, kPageBytes));
+
 }  // namespace
 
-Cpu::Cpu(uint32_t cpu_id, const CpuConfig& config)
-    : cpu_id_(cpu_id),
-      config_(config),
-      model_(config.pipeline),
-      memory_(config.memory),
-      predictor_(config.predictor_entries, config.ras_entries) {
-  if (config_.issue_queue_depth > kMaxQueueDepth) {
-    config_.issue_queue_depth = kMaxQueueDepth;
-  }
-  fetch_piece_shift_ = static_cast<unsigned>(
-      std::countr_zero(std::min(config_.memory.icache.line_bytes, kPageBytes)));
+Cpu::Cpu(uint32_t cpu_id) : cpu_id_(cpu_id) {
   for (int op = 0; op < kNumOpcodes; ++op) {
     DecodedInst inst;
     inst.op = static_cast<Opcode>(op);
@@ -50,13 +47,13 @@ Cpu::Cpu(uint32_t cpu_id, const CpuConfig& config)
     facts.issues_alone = PipelineModel::IssuesAlone(inst);
     facts.uses_imul = PipelineModel::UsesImul(inst);
     facts.uses_fdiv = PipelineModel::UsesFdiv(inst);
-    facts.result_latency = model_.ResultLatency(inst);
+    facts.result_latency = PipelineModel::ResultLatency(inst);
   }
 }
 
 void Cpu::OnContextSwitch() {
   ++stats_.context_switches;
-  if (config_.flush_tlb_on_switch) memory_.ClearTlbs();
+  memory_.ClearTlbs();
   fetch_line_ = ~0ull;
   fetch_piece_ = ~0ull;
   fetch_count_ = 0;
@@ -77,14 +74,12 @@ void Cpu::OnContextSwitch() {
 Cpu::FetchInfo Cpu::ComputeFetchTime(ExecContext& ctx, uint64_t pc) {
   FetchInfo info;
   // Fetch cannot run further ahead of issue than the queue depth allows.
-  uint64_t oldest =
-      recent_issue_[(recent_pos_ + kMaxQueueDepth - config_.issue_queue_depth) %
-                    kMaxQueueDepth];
+  uint64_t oldest = recent_issue_[recent_pos_ % kIssueQueueDepth];
   if (fetch_time_ < oldest) fetch_time_ = oldest;
 
   // Translate only when pc leaves the virtual piece the current fetch line
   // came from: the same piece always maps to the same physical line.
-  const uint64_t piece = pc >> fetch_piece_shift_;
+  const uint64_t piece = pc >> kFetchPieceShift;
   uint64_t paddr = 0;
   uint64_t line = fetch_line_;
   if (piece != fetch_piece_) {
@@ -109,7 +104,7 @@ Cpu::FetchInfo Cpu::ComputeFetchTime(ExecContext& ctx, uint64_t pc) {
     }
     fetch_line_ = line;
     fetch_count_ = 0;
-  } else if (fetch_count_ >= config_.pipeline.fetch_width) {
+  } else if (fetch_count_ >= kFetchPerCycle) {
     fetch_time_ += 1;
     fetch_count_ = 0;
     if (info.cause == StallCause::kNone) info.cause = StallCause::kFetchWidth;
@@ -187,8 +182,7 @@ bool Cpu::Step(ExecContext& ctx, RegFile& regs, uint32_t pid) {
     dtb_miss = memory_.AccessDtbForData(vaddr);
     if (dtb_miss) {
       // The PAL fill runs once the access reaches the head of the queue.
-      constraint.Raise(last_issue_time_ + memory_.config().tlb_fill_penalty,
-                       StallCause::kDtbMiss);
+      constraint.Raise(last_issue_time_ + kTlbFillPenalty, StallCause::kDtbMiss);
       if (monitor_ != nullptr) monitor_->OnEvent(EventType::kDtbMiss, last_issue_time_);
     }
   }
@@ -245,7 +239,7 @@ bool Cpu::Step(ExecContext& ctx, RegFile& regs, uint32_t pid) {
     group_dests_[group_ndests_++] = pre.dest;
   }
   last_issue_time_ = group_time_;
-  recent_issue_[recent_pos_ % kMaxQueueDepth] = issue_time;
+  recent_issue_[recent_pos_ % kIssueQueueDepth] = issue_time;
   ++recent_pos_;
 
   // ---- Execute ----
@@ -344,7 +338,7 @@ bool Cpu::Step(ExecContext& ctx, RegFile& regs, uint32_t pid) {
         case Opcode::kMulq:
           result = static_cast<int64_t>(static_cast<uint64_t>(a) *
                                         static_cast<uint64_t>(b));
-          imul_free_ = issue_time + config_.pipeline.imul_repeat;
+          imul_free_ = issue_time + kImulRepeat;
           break;
         case Opcode::kAnd:
           result = a & b;
@@ -417,7 +411,7 @@ bool Cpu::Step(ExecContext& ctx, RegFile& regs, uint32_t pid) {
           break;
         case Opcode::kDivt:
           result = b != 0.0 ? a / b : 0.0;
-          fdiv_free_ = issue_time + config_.pipeline.fdiv_repeat;
+          fdiv_free_ = issue_time + kFdivRepeat;
           break;
         case Opcode::kCpys:
           result = a < 0.0 || (a == 0.0 && std::signbit(a)) ? -std::fabs(b) : std::fabs(b);
@@ -454,7 +448,7 @@ bool Cpu::Step(ExecContext& ctx, RegFile& regs, uint32_t pid) {
       next_pc = target;
       record_taken_edge = true;
       taken_target = target;
-      RedirectFetch(issue_time + config_.pipeline.taken_branch_bubble, StallCause::kNone);
+      RedirectFetch(issue_time + kTakenBranchBubble, StallCause::kNone);
       break;
     }
     case Opcode::kBeq:
@@ -506,13 +500,11 @@ bool Cpu::Step(ExecContext& ctx, RegFile& regs, uint32_t pid) {
         next_pc = target;
         record_taken_edge = true;
         taken_target = target;
-        RedirectFetch(issue_time + (correct ? config_.pipeline.taken_branch_bubble
-                                            : config_.pipeline.mispredict_penalty),
+        RedirectFetch(issue_time + (correct ? kTakenBranchBubble : kMispredictPenalty),
                       correct ? StallCause::kNone : StallCause::kBranchMispredict);
       } else if (!correct) {
         // Predicted taken, fell through: wrong-path fetch must be undone.
-        RedirectFetch(issue_time + config_.pipeline.mispredict_penalty,
-                      StallCause::kBranchMispredict);
+        RedirectFetch(issue_time + kMispredictPenalty, StallCause::kBranchMispredict);
       }
       break;
     }
@@ -522,12 +514,12 @@ bool Cpu::Step(ExecContext& ctx, RegFile& regs, uint32_t pid) {
       uint64_t target = static_cast<uint64_t>(regs.ReadInt(inst->rb)) & ~(kInstrBytes - 1);
       regs.WriteInt(inst->ra, static_cast<int64_t>(pc + kInstrBytes));
       if (inst->op == Opcode::kJsr) predictor_.PushReturn(pc + kInstrBytes);
-      uint64_t bubble = config_.pipeline.jump_bubble;
+      uint64_t bubble = kJumpBubble;
       if (inst->op == Opcode::kRet) {
         if (predictor_.PopReturnMatches(target)) {
-          bubble = config_.pipeline.taken_branch_bubble;
+          bubble = kTakenBranchBubble;
         } else {
-          bubble = config_.pipeline.mispredict_penalty;
+          bubble = kMispredictPenalty;
           mispredicted = true;
           if (monitor_ != nullptr) monitor_->OnEvent(EventType::kBranchMp, issue_time);
         }
@@ -554,7 +546,7 @@ bool Cpu::Step(ExecContext& ctx, RegFile& regs, uint32_t pid) {
         break;
       }
       // kNopPal and unknown functions: spend time in PAL mode.
-      uint64_t pal_end = issue_time + config_.pal_nop_cycles;
+      uint64_t pal_end = issue_time + kPalNopCycles;
       if (monitor_ != nullptr) monitor_->OnPalWindow(issue_time, pal_end);
       floor_time_ = pal_end;
       floor_cause_ = StallCause::kNone;

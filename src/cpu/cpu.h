@@ -19,6 +19,7 @@
 #ifndef SRC_CPU_CPU_H_
 #define SRC_CPU_CPU_H_
 
+#include <bit>
 #include <cstdint>
 
 #include "src/cpu/branch_predictor.h"
@@ -29,16 +30,6 @@
 #include "src/memory/memory_system.h"
 
 namespace dcpi {
-
-struct CpuConfig {
-  PipelineConfig pipeline;
-  MemoryConfig memory;
-  uint32_t predictor_entries = 2048;
-  uint32_t ras_entries = 12;
-  uint32_t issue_queue_depth = 8;  // bounds fetch run-ahead
-  uint64_t pal_nop_cycles = 200;   // duration of a call_pal "nop" window
-  bool flush_tlb_on_switch = true;
-};
 
 enum class ExitReason {
   kHalted,
@@ -67,7 +58,7 @@ struct CpuStats {
 
 class Cpu {
  public:
-  Cpu(uint32_t cpu_id, const CpuConfig& config);
+  explicit Cpu(uint32_t cpu_id);
 
   // Both optional; may be set/cleared between runs.
   void set_monitor(PerfMonitor* monitor) { monitor_ = monitor; }
@@ -79,22 +70,18 @@ class Cpu {
   RunResult Run(ExecContext& ctx, uint64_t max_cycles,
                 uint64_t max_instructions = ~0ull);
 
-  // Kernel notification before switching to a different context.
+  // Kernel notification before switching to a different context; flushes
+  // the TLBs (address-space numbers are not modelled).
   void OnContextSwitch();
 
   // Current CPU time (cycle of the last issue event).
   uint64_t now() const { return last_issue_time_; }
-
-  // Advances time without executing (used only by tests; the kernel runs a
-  // real idle loop instead).
-  void AdvanceIdle(uint64_t cycles) { last_issue_time_ += cycles; }
 
   uint32_t cpu_id() const { return cpu_id_; }
   MemorySystem& memory() { return memory_; }
   const MemorySystem& memory() const { return memory_; }
   const BranchPredictor& predictor() const { return predictor_; }
   const CpuStats& stats() const { return stats_; }
-  const PipelineModel& model() const { return model_; }
 
  private:
   struct FetchInfo {
@@ -116,8 +103,8 @@ class Cpu {
     }
   };
 
-  // What the issue logic needs of an opcode, computed once from model_ so
-  // the simulator and the analysis still share one PipelineModel.
+  // What the issue logic needs of an opcode, computed once from the
+  // PipelineModel the analysis schedules with.
   struct OpcodeFacts {
     InstrClass klass = InstrClass::kIntOp;
     uint8_t slot_mask = 0;
@@ -138,8 +125,6 @@ class Cpu {
   bool Step(ExecContext& ctx, RegFile& regs, uint32_t pid);
 
   uint32_t cpu_id_;
-  CpuConfig config_;
-  PipelineModel model_;
   MemorySystem memory_;
   BranchPredictor predictor_;
   PerfMonitor* monitor_ = nullptr;
@@ -175,19 +160,20 @@ class Cpu {
   // Fetch stream.
   uint64_t fetch_time_ = 0;
   uint64_t fetch_line_ = ~0ull;
-  // pc >> fetch_piece_shift_ of the fetch that set fetch_line_ (~0 when
+  // pc >> kFetchPieceShift of the fetch that set fetch_line_ (~0 when
   // unknown: after a redirect and at the start of every Run). A piece is
   // the smaller of an I-cache line and a page, so it lies in one page and
   // one physical line, and page mappings never change: a fetch from the
   // same piece needs no translation.
   uint64_t fetch_piece_ = ~0ull;
-  unsigned fetch_piece_shift_ = 0;
   uint32_t fetch_count_ = 0;
   StallCause pending_fetch_cause_ = StallCause::kNone;
 
-  // Issue times of the last issue_queue_depth instructions (run-ahead bound).
-  static constexpr int kMaxQueueDepth = 32;
-  uint64_t recent_issue_[kMaxQueueDepth] = {};
+  // Issue times of the last kIssueQueueDepth instructions (run-ahead
+  // bound), a ring whose next slot holds the oldest. recent_pos_ wraps at
+  // 2^32, which keeps the ring in step only for a power-of-two size.
+  static_assert(std::has_single_bit(kIssueQueueDepth));
+  uint64_t recent_issue_[kIssueQueueDepth] = {};
   uint32_t recent_pos_ = 0;
 
   ExitReason exit_ = ExitReason::kHalted;

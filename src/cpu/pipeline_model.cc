@@ -1,5 +1,7 @@
 #include "src/cpu/pipeline_model.h"
 
+#include "src/memory/memory_system.h"
+
 namespace dcpi {
 
 namespace {
@@ -39,36 +41,30 @@ uint8_t PipelineModel::SlotMask(const DecodedInst& inst) {
   return kMaskE0;
 }
 
-uint64_t PipelineModel::ResultLatency(const DecodedInst& inst) const {
+uint64_t PipelineModel::ResultLatency(const DecodedInst& inst) {
   switch (inst.klass()) {
     case InstrClass::kLoad:
-      return config_.load_hit_latency;
+      return kLoadHitLatency;
     case InstrClass::kIntOp:
     case InstrClass::kLoadAddress:
-      return config_.int_latency;
+      return kIntLatency;
     case InstrClass::kIntMul:
-      return config_.imul_latency;
+      return kImulLatency;
     case InstrClass::kFpOp:
-      return config_.fp_latency;
+      return kFpLatency;
     case InstrClass::kFpMul:
-      return config_.fpmul_latency;
+      return kFpMulLatency;
     case InstrClass::kFpDiv:
-      return config_.fdiv_latency;
+      return kFdivLatency;
     case InstrClass::kStore:
     case InstrClass::kCondBranch:
     case InstrClass::kUncondBranch:
     case InstrClass::kJump:
     case InstrClass::kBarrier:
     case InstrClass::kPal:
-      return config_.int_latency;  // return-address writers etc.
+      return kIntLatency;  // return-address writers etc.
   }
-  return config_.int_latency;
-}
-
-uint64_t PipelineModel::UnitRepeat(const DecodedInst& inst) const {
-  if (UsesImul(inst)) return config_.imul_repeat;
-  if (UsesFdiv(inst)) return config_.fdiv_repeat;
-  return 0;
+  return kIntLatency;
 }
 
 bool PipelineModel::EndsGroup(const DecodedInst& inst) {

@@ -3,9 +3,9 @@
 // This model is shared between the cycle simulator (src/cpu/cpu.cc) and the
 // offline analysis (src/analysis/static_schedule.cc), mirroring the paper's
 // design where the analyzer schedules basic blocks "using a model of the
-// processor on which it was run". Sharing one model guarantees that the
-// analyzer's M_i values are consistent with the machine that produced the
-// samples.
+// processor on which it was run". The model is one set of constants of the
+// one simulated machine, with no configuration, so the analyzer's M_i
+// values cannot drift from the machine that produced the samples.
 //
 // Issue model (21164-flavoured, collapsed to four slots):
 //   E0: loads, stores, integer ops, lda/ldah, imul, itoft, ftoit
@@ -30,36 +30,28 @@ namespace dcpi {
 enum class IssueSlot : uint8_t { kE0 = 0, kE1 = 1, kFA = 2, kFM = 3 };
 inline constexpr int kNumIssueSlots = 4;
 
-struct PipelineConfig {
-  // Result latencies in cycles (operand-ready delay after issue).
-  uint64_t int_latency = 1;
-  uint64_t imul_latency = 12;
-  uint64_t fp_latency = 4;
-  uint64_t fpmul_latency = 4;
-  uint64_t fdiv_latency = 30;
+// Result latencies in cycles (operand-ready delay after issue). A load's
+// is the D-cache hit latency, kLoadHitLatency (memory_system.h): the
+// static scheduler assumes hits.
+inline constexpr uint64_t kIntLatency = 1;
+inline constexpr uint64_t kImulLatency = 12;
+inline constexpr uint64_t kFpLatency = 4;
+inline constexpr uint64_t kFpMulLatency = 4;
+inline constexpr uint64_t kFdivLatency = 30;
 
-  // Functional-unit occupancy (next same-class issue must wait this long).
-  uint64_t imul_repeat = 8;   // partially pipelined multiplier
-  uint64_t fdiv_repeat = 30;  // non-pipelined divider
+// Functional-unit occupancy (next same-class issue must wait this long).
+inline constexpr uint64_t kImulRepeat = 8;   // partially pipelined multiplier
+inline constexpr uint64_t kFdivRepeat = 30;  // non-pipelined divider
 
-  // Front end.
-  uint32_t fetch_width = 4;          // instructions fetched per cycle (21164-like)
-  uint64_t taken_branch_bubble = 1;  // correctly-predicted taken branch
-  uint64_t jump_bubble = 2;          // computed jumps (jsr/jmp, RAS-miss ret)
-  uint64_t mispredict_penalty = 5;
-
-  // Loads: D-cache hit latency lives in MemoryConfig; the static scheduler
-  // assumes hits, so it needs the hit latency here as well.
-  uint64_t load_hit_latency = 2;
-};
+// Front end.
+inline constexpr uint32_t kFetchPerCycle = 4;      // instructions fetched per cycle (21164-like)
+inline constexpr uint64_t kTakenBranchBubble = 1;  // correctly-predicted taken branch
+inline constexpr uint64_t kJumpBubble = 2;         // computed jumps (jsr/jmp, RAS-miss ret)
+inline constexpr uint64_t kMispredictPenalty = 5;
+inline constexpr uint32_t kIssueQueueDepth = 8;    // bounds fetch run-ahead
 
 class PipelineModel {
  public:
-  explicit PipelineModel(const PipelineConfig& config = PipelineConfig())
-      : config_(config) {}
-
-  const PipelineConfig& config() const { return config_; }
-
   // Bitmask of IssueSlots the instruction may use.
   static uint8_t SlotMask(const DecodedInst& inst);
 
@@ -74,7 +66,7 @@ class PipelineModel {
   }
 
   // Result latency assuming D-cache hits (static best case).
-  uint64_t ResultLatency(const DecodedInst& inst) const;
+  static uint64_t ResultLatency(const DecodedInst& inst);
 
   // True if the instruction occupies the integer multiplier / FP divider.
   static bool UsesImul(const DecodedInst& inst) {
@@ -84,18 +76,12 @@ class PipelineModel {
     return inst.klass() == InstrClass::kFpDiv;
   }
 
-  // Unit occupancy for same-unit back-to-back issue.
-  uint64_t UnitRepeat(const DecodedInst& inst) const;
-
   // True if the instruction must end its issue group (control flow and
   // serializing instructions).
   static bool EndsGroup(const DecodedInst& inst);
 
   // True if the instruction must issue alone (serializing).
   static bool IssuesAlone(const DecodedInst& inst);
-
- private:
-  PipelineConfig config_;
 };
 
 }  // namespace dcpi

@@ -26,7 +26,6 @@ struct DecodedInst {
 
   bool IsLoad() const { return klass() == InstrClass::kLoad; }
   bool IsStore() const { return klass() == InstrClass::kStore; }
-  bool IsCondBranch() const { return klass() == InstrClass::kCondBranch; }
   bool IsControlFlow() const {
     InstrClass k = klass();
     return k == InstrClass::kCondBranch || k == InstrClass::kUncondBranch ||

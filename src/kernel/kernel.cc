@@ -65,7 +65,7 @@ kbuf:   .space 256
 Kernel::Kernel(const KernelConfig& config)
     : config_(config), ground_truth_(config.record_ground_truth) {
   for (uint32_t i = 0; i < config.num_cpus; ++i) {
-    cpus_.push_back(std::make_unique<Cpu>(i, config.cpu));
+    cpus_.push_back(std::make_unique<Cpu>(i));
     if (config.record_ground_truth) {
       truth_shards_.push_back(std::make_unique<GroundTruth>());
       cpus_.back()->set_ground_truth(truth_shards_.back().get());

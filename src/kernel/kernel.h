@@ -52,7 +52,6 @@ namespace dcpi {
 struct KernelConfig {
   uint32_t num_cpus = 1;
   uint64_t quantum_cycles = 50'000;
-  CpuConfig cpu;
   uint64_t seed = 1;  // page-colouring and layout randomization
   // Record per-instruction ground truth (execution counts, head and stall
   // cycles, taken edges). Only the accuracy studies and tests read it;

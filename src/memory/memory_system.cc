@@ -2,24 +2,23 @@
 
 namespace dcpi {
 
-MemorySystem::MemorySystem(const MemoryConfig& config)
-    : config_(config),
-      icache_(config.icache),
-      dcache_(config.dcache),
-      board_(config.board),
-      itb_(config.itb_entries),
-      dtb_(config.dtb_entries),
-      wb_(config.wb_entries, config.board.line_bytes) {}
+MemorySystem::MemorySystem()
+    : icache_(kIcacheGeometry),
+      dcache_(kDcacheGeometry),
+      board_(kBoardGeometry),
+      itb_(kItbEntries),
+      dtb_(kDtbEntries),
+      wb_(kWriteBufferEntries, kBoardGeometry.line_bytes) {}
 
 LoadResult MemorySystem::AccessLoad(uint64_t paddr) {
   LoadResult result;
-  result.latency = config_.load_hit_latency;
+  result.latency = kLoadHitLatency;
   if (!dcache_.Access(paddr)) {
     result.dcache_miss = true;
-    result.latency += config_.board_latency;
+    result.latency += kBoardLatency;
     if (!board_.Access(paddr)) {
       result.board_miss = true;
-      result.latency += config_.memory_latency;
+      result.latency += kMemoryLatency;
     }
   }
   return result;
@@ -29,14 +28,14 @@ FetchResult MemorySystem::AccessFetch(uint64_t vaddr, uint64_t paddr) {
   FetchResult result;
   if (!itb_.Access(vaddr)) {
     result.itb_miss = true;
-    result.latency += config_.tlb_fill_penalty;
+    result.latency += kTlbFillPenalty;
   }
   if (!icache_.Access(paddr)) {
     result.icache_miss = true;
-    result.latency += config_.board_latency;
+    result.latency += kBoardLatency;
     if (!board_.Access(paddr)) {
       result.board_miss = true;
-      result.latency += config_.memory_latency;
+      result.latency += kMemoryLatency;
     }
   }
   return result;
@@ -47,16 +46,8 @@ void MemorySystem::CommitStore(uint64_t paddr, uint64_t issue_cycle) {
   // not fill it. The drain time depends on whether the board cache has the
   // line (the write allocates there).
   dcache_.Probe(paddr);
-  uint64_t drain =
-      board_.Access(paddr) ? config_.wb_drain_board : config_.wb_drain_memory;
+  uint64_t drain = board_.Access(paddr) ? kWbDrainBoard : kWbDrainMemory;
   wb_.Push(paddr, issue_cycle, drain);
-}
-
-void MemorySystem::PerturbDcache(uint32_t lines) {
-  for (uint32_t i = 0; i < lines; ++i) {
-    uint64_t paddr = perturb_rng_.Next() % config_.dcache.size_bytes;
-    dcache_.InvalidateLine(paddr);
-  }
 }
 
 }  // namespace dcpi

@@ -22,22 +22,21 @@
 
 namespace dcpi {
 
-struct MemoryConfig {
-  CacheConfig icache{8 * 1024, 32, 1};
-  CacheConfig dcache{8 * 1024, 32, 1};
-  CacheConfig board{2 * 1024 * 1024, 64, 1};
-  uint32_t itb_entries = 48;
-  uint32_t dtb_entries = 64;
-  uint32_t wb_entries = 6;
+// Geometry of the 21164-like hierarchy.
+inline constexpr CacheConfig kIcacheGeometry{8 * 1024, 32, 1};
+inline constexpr CacheConfig kDcacheGeometry{8 * 1024, 32, 1};
+inline constexpr CacheConfig kBoardGeometry{2 * 1024 * 1024, 64, 1};
+inline constexpr uint32_t kItbEntries = 48;
+inline constexpr uint32_t kDtbEntries = 64;
+inline constexpr uint32_t kWriteBufferEntries = 6;
 
-  // Latencies in CPU cycles.
-  uint64_t load_hit_latency = 2;    // D-cache hit, load-to-use
-  uint64_t board_latency = 8;      // added on an L1 miss that hits the board cache
-  uint64_t memory_latency = 80;    // added on a board-cache miss
-  uint64_t tlb_fill_penalty = 40;  // PALcode TLB fill
-  uint64_t wb_drain_board = 6;     // write-buffer entry occupancy, board hit
-  uint64_t wb_drain_memory = 40;   // write-buffer entry occupancy, board miss
-};
+// Latencies in CPU cycles.
+inline constexpr uint64_t kLoadHitLatency = 2;   // D-cache hit, load-to-use
+inline constexpr uint64_t kBoardLatency = 8;     // added on an L1 miss that hits the board cache
+inline constexpr uint64_t kMemoryLatency = 80;   // added on a board-cache miss
+inline constexpr uint64_t kTlbFillPenalty = 40;  // PALcode TLB fill
+inline constexpr uint64_t kWbDrainBoard = 6;     // write-buffer entry occupancy, board hit
+inline constexpr uint64_t kWbDrainMemory = 40;   // write-buffer entry occupancy, board miss
 
 // Assigns physical pages to virtual pages on first touch, with a randomized
 // colouring per run. One mapper per process.
@@ -98,7 +97,7 @@ struct FetchResult {
 
 class MemorySystem {
  public:
-  explicit MemorySystem(const MemoryConfig& config);
+  MemorySystem();
 
   // DTB lookup for a data access (load or store); returns true on a miss.
   // The CPU charges the fill penalty as a pre-issue constraint, so the
@@ -115,16 +114,11 @@ class MemorySystem {
 
   FetchResult AccessFetch(uint64_t vaddr, uint64_t paddr);
 
-  // Invalidate a few random D-cache lines, modelling interrupt-handler cache
-  // pollution (the paper's handler costs are dominated by cache misses).
-  void PerturbDcache(uint32_t lines);
-
   void ClearTlbs() {
     itb_.Clear();
     dtb_.Clear();
   }
 
-  const MemoryConfig& config() const { return config_; }
   const Cache& icache() const { return icache_; }
   const Cache& dcache() const { return dcache_; }
   const Cache& board() const { return board_; }
@@ -133,14 +127,12 @@ class MemorySystem {
   const WriteBuffer& write_buffer() const { return wb_; }
 
  private:
-  MemoryConfig config_;
   Cache icache_;
   Cache dcache_;
   Cache board_;
   Tlb itb_;
   Tlb dtb_;
   WriteBuffer wb_;
-  SplitMix64 perturb_rng_{0xdc91};
 };
 
 }  // namespace dcpi

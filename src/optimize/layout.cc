@@ -4,9 +4,15 @@
 #include <map>
 #include <vector>
 
+#include "src/memory/memory_system.h"
+
 namespace dcpi {
 
 namespace {
+
+// Procedures carrying more than this share of the samples start on an
+// I-cache line.
+constexpr double kHotAlignmentThreshold = 0.01;
 
 struct Chunk {
   std::string name;         // procedure name, or "" for anonymous text
@@ -34,8 +40,7 @@ bool IsAddressPair(const ExecutableImage& image, size_t index, int64_t* value,
 }  // namespace
 
 Result<std::shared_ptr<ExecutableImage>> ReorderProceduresByHotness(
-    const ExecutableImage& image, const ImageProfile& cycles,
-    const LayoutOptions& options) {
+    const ExecutableImage& image, const ImageProfile& cycles) {
   const uint64_t base = image.text_base();
   const uint64_t end = image.text_end();
 
@@ -73,7 +78,7 @@ Result<std::shared_ptr<ExecutableImage>> ReorderProceduresByHotness(
     if (!chunk.is_procedure) order.push_back(&chunk);
   }
 
-  // ---- Assign new addresses (with optional hot-entry alignment) ----
+  // ---- Assign new addresses (with hot-entry alignment) ----
   DecodedInst nop;
   nop.op = Opcode::kBis;
   nop.ra = nop.rb = nop.rc = kZeroReg;
@@ -89,12 +94,10 @@ Result<std::shared_ptr<ExecutableImage>> ReorderProceduresByHotness(
   for (const Chunk* chunk : order) {
     bool hot = total_samples > 0 &&
                static_cast<double>(chunk->samples) >
-                   options.hot_alignment_threshold * static_cast<double>(total_samples);
-    if (hot && options.icache_line_bytes > 0) {
-      uint64_t aligned =
-          (new_cursor + options.icache_line_bytes - 1) / options.icache_line_bytes *
-          options.icache_line_bytes;
-      new_cursor = aligned;
+                   kHotAlignmentThreshold * static_cast<double>(total_samples);
+    if (hot) {
+      const uint64_t line = kIcacheGeometry.line_bytes;
+      new_cursor = (new_cursor + line - 1) / line * line;
     }
     placements.push_back({chunk, new_cursor});
     for (uint64_t pc = chunk->old_start; pc < chunk->old_end; pc += kInstrBytes) {

@@ -5,8 +5,8 @@
 // post-linker optimization framework". This module implements the classic
 // post-link transformation those frameworks start with: reordering
 // procedures by profile hotness so the hot set packs into the I-cache
-// instead of colliding in it, optionally aligning hot procedure entries to
-// cache lines.
+// instead of colliding in it, aligning hot procedure entries to cache
+// lines.
 //
 // The rewriter relocates whole procedures rigidly and fixes up:
 //   * branch-format displacements whose target moved (calls and branches
@@ -26,19 +26,13 @@
 
 namespace dcpi {
 
-struct LayoutOptions {
-  // Align the entry of procedures carrying at least this share of samples
-  // to an I-cache line boundary (0 disables alignment).
-  double hot_alignment_threshold = 0.01;
-  uint64_t icache_line_bytes = 32;
-};
-
 // Returns a new image (same name + ".hot", same text_base) with procedures
-// ordered by decreasing CYCLES samples. Instructions outside any procedure
-// keep their relative order after all procedures.
+// ordered by decreasing CYCLES samples, each procedure carrying more than
+// 1% of the samples aligned to an I-cache line of the simulated machine.
+// Instructions outside any procedure keep their relative order after all
+// procedures.
 Result<std::shared_ptr<ExecutableImage>> ReorderProceduresByHotness(
-    const ExecutableImage& image, const ImageProfile& cycles,
-    const LayoutOptions& options = LayoutOptions());
+    const ExecutableImage& image, const ImageProfile& cycles);
 
 }  // namespace dcpi
 

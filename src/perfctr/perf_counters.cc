@@ -68,7 +68,7 @@ void PerfCounters::UpdateIssueHorizon() {
   uint64_t next = UINT64_MAX;
   if (!pending_.empty()) next = pending_.top().cycle;
   if (has_cycles_counter_) {
-    next = std::min(next, next_cycles_overflow_ + config_.skid_cycles);
+    next = std::min(next, next_cycles_overflow_ + kSkidCycles);
   }
   issue_horizon_ = std::max(next, blind_until_);
 }
@@ -103,7 +103,7 @@ void PerfCounters::OnEvent(EventType type, uint64_t cycle) {
   if (++counter->count >= counter->period) {
     counter->count = 0;
     counter->period = NextPeriod(counter->spec);
-    pending_.push({cycle + config_.skid_cycles, type});
+    pending_.push({cycle + kSkidCycles, type});
     UpdateIssueHorizon();
   }
 }
@@ -159,7 +159,7 @@ uint64_t PerfCounters::OnIssue(uint32_t pid, uint64_t pc, uint64_t t_issue) {
       have_candidate = true;
     }
     if (has_cycles_counter_) {
-      uint64_t cycles_delivery = next_cycles_overflow_ + config_.skid_cycles;
+      uint64_t cycles_delivery = next_cycles_overflow_ + kSkidCycles;
       if (!have_candidate || cycles_delivery < candidate_cycle) {
         candidate_cycle = cycles_delivery;
         candidate_event = EventType::kCycles;

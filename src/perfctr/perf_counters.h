@@ -1,7 +1,7 @@
 // Performance-counter model (Section 4.1).
 //
 // Each hardware counter counts one event type and raises a high-priority
-// interrupt on overflow; the interrupt is delivered `skid_cycles` (six on
+// interrupt on overflow; the interrupt is delivered kSkidCycles (six on
 // the 21164) after the overflow and samples the PC at the head of the issue
 // queue at delivery time. The inter-interrupt period is re-randomized after
 // every interrupt with the Carta minimal-standard generator (Section 4.1.1,
@@ -46,9 +46,11 @@ struct CounterSpec {
   uint64_t period_hi = 0;
 };
 
+// Overflow-to-interrupt delivery delay of the simulated 21164.
+inline constexpr uint64_t kSkidCycles = 6;
+
 struct PerfCountersConfig {
   std::vector<CounterSpec> counters;
-  uint64_t skid_cycles = 6;
   uint64_t mux_interval_cycles = 333'000;  // ~1ms at 333 MHz
   uint32_t rng_seed = 1;
 

@@ -30,20 +30,6 @@ enum class MemLevel : uint8_t {
 
 inline constexpr int kNumMemLevels = 4;
 
-inline const char* MemLevelName(MemLevel level) {
-  switch (level) {
-    case MemLevel::kL1:
-      return "L1";
-    case MemLevel::kL2:
-      return "L2";
-    case MemLevel::kBoard:
-      return "board";
-    case MemLevel::kDram:
-      return "DRAM";
-  }
-  return "?";
-}
-
 // One wide sample. `has_data` is false when the sampled instruction was
 // not a load (the record still credits the PC axis, so choosing a sample
 // to be wide never biases the PC profile); the data fields are only

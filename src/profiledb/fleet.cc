@@ -158,16 +158,15 @@ Result<ImageProfile> FleetView::ReadProfile(const std::vector<uint32_t>& epochs,
   return MergeHostProfiles(parts);
 }
 
-Status CompactFleet(const FleetView& fleet, const std::string& out_root,
+Status CompactFleet(const FleetView& fleet, ProfileDatabase* out,
                     const std::vector<uint32_t>& epochs, int jobs) {
   if (fleet.num_hosts() == 0) {
     return InvalidArgument("no host_<id> shards under " + fleet.root());
   }
-  ProfileDatabase out(out_root);
 
   for (uint32_t epoch : epochs) {
     // Sealed output epochs are finished work from an earlier pass.
-    if (out.IsSealed(epoch)) continue;
+    if (out->IsSealed(epoch)) continue;
 
     // Every (host, file) pair for this epoch, host-major so the grouping
     // below sees hosts in ascending order.
@@ -213,7 +212,7 @@ Status CompactFleet(const FleetView& fleet, const std::string& out_root,
     }
     if (groups.empty()) continue;
 
-    Result<uint32_t> opened = out.OpenEpoch(epoch);
+    Result<uint32_t> opened = out->OpenEpoch(epoch);
     if (!opened.ok()) return opened.status();
 
     // Per-host sample totals for the epoch's .provenance sidecar.
@@ -227,7 +226,7 @@ Status CompactFleet(const FleetView& fleet, const std::string& out_root,
         host_samples[tasks[i].host_index] +=
             slots[i].value().total_samples();
       }
-      DCPI_RETURN_IF_ERROR(out.ReplaceProfile(MergeHostProfiles(parts)));
+      DCPI_RETURN_IF_ERROR(out->ReplaceProfile(MergeHostProfiles(parts)));
     }
 
     std::string provenance;
@@ -237,9 +236,9 @@ Status CompactFleet(const FleetView& fleet, const std::string& out_root,
     }
     std::vector<uint8_t> provenance_bytes(provenance.begin(), provenance.end());
     DCPI_RETURN_IF_ERROR(WriteFileAtomic(
-        out_root + "/epoch_" + std::to_string(epoch) + "/.provenance",
+        out->root() + "/epoch_" + std::to_string(epoch) + "/.provenance",
         provenance_bytes));
-    DCPI_RETURN_IF_ERROR(out.SealEpoch(epoch));
+    DCPI_RETURN_IF_ERROR(out->SealEpoch(epoch));
   }
   return Status::Ok();
 }

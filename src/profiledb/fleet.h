@@ -82,16 +82,17 @@ class FleetView {
   std::vector<std::unique_ptr<ProfileDatabase>> hosts_;  // same order
 };
 
-// Materializes fleet merge-on-read into a regular ProfileDatabase at
-// `out_root`: for each requested epoch, every shard's profiles are read,
-// grouped by (image, event), merged as ReadProfile merges, written through
-// the atomic-write/CRC path under the same epoch number, recorded in an
-// epoch_<k>/.provenance sidecar (one "host_<id> <samples>" line per
-// contributing host), and sealed. Reads fan out over `jobs` worker
+// Materializes fleet merge-on-read into `out`, a regular ProfileDatabase
+// open read-write (a caller that compacts repeatedly keeps one open, so
+// the writer's recovery scan runs once): for each requested epoch, every
+// shard's profiles are read, grouped by (image, event), merged as
+// ReadProfile merges, written through the atomic-write/CRC path under the
+// same epoch number, recorded in an epoch_<k>/.provenance sidecar (one
+// "host_<id> <samples>" line per contributing host), and sealed. Reads fan out over `jobs` worker
 // threads; output bytes are identical for any jobs count. Epochs already
 // sealed in the output database are skipped, so the pass is incremental
 // and restartable.
-Status CompactFleet(const FleetView& fleet, const std::string& out_root,
+Status CompactFleet(const FleetView& fleet, ProfileDatabase* out,
                     const std::vector<uint32_t>& epochs, int jobs = 0);
 
 }  // namespace dcpi

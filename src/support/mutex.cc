@@ -1,7 +1,5 @@
 #include "src/support/mutex.h"
 
-#ifdef DCPI_LOCK_RANK_CHECKS
-
 #include <cstdio>
 #include <cstdlib>
 
@@ -106,5 +104,3 @@ int MaxHeldRankForTest() {
 
 }  // namespace lockrank
 }  // namespace dcpi
-
-#endif  // DCPI_LOCK_RANK_CHECKS

@@ -16,9 +16,7 @@
 //     reports if both orders actually race in one run — aborts immediately
 //     with both lock names, in every test run, even single-threaded ones.
 //     The check runs before blocking on the lock, so a would-be deadlock
-//     is reported instead of hung. Enabled when DCPI_LOCK_RANK_CHECKS is
-//     defined (the default build; -DDCPI_LOCK_RANK_CHECKS=OFF at configure
-//     time compiles it out); disabled it costs nothing.
+//     is reported instead of hung. Every build compiles it in.
 //
 // The global lock ordering lives in the LockRank enum below; DESIGN.md
 // "Concurrency correctness" documents which lock guards which state.
@@ -64,16 +62,6 @@ enum class LockRank : int {
 
 namespace lockrank {
 
-// True when the checker is compiled in.
-constexpr bool Enabled() {
-#ifdef DCPI_LOCK_RANK_CHECKS
-  return true;
-#else
-  return false;
-#endif
-}
-
-#ifdef DCPI_LOCK_RANK_CHECKS
 // Aborts (with both lock names) if the calling thread already holds
 // `lock`, or holds any lock of rank >= `rank`.
 void CheckAcquire(const void* lock, int rank, const char* name);
@@ -85,13 +73,6 @@ void RecordRelease(const void* lock, const char* name);
 int HeldCountForTest();
 // Highest rank among the calling thread's held locks, or -1 (tests).
 int MaxHeldRankForTest();
-#else
-inline void CheckAcquire(const void*, int, const char*) {}
-inline void RecordAcquire(const void*, int, const char*) {}
-inline void RecordRelease(const void*, const char*) {}
-inline int HeldCountForTest() { return 0; }
-inline int MaxHeldRankForTest() { return -1; }
-#endif
 
 }  // namespace lockrank
 

@@ -114,18 +114,18 @@ FleetResult RunFleet(const SystemConfig& config, const Workload& workload,
   std::thread compactor;
   if (compact) {
     compactor = std::thread([&] {
-      const std::string merged_root = root + "/merged";
+      ProfileDatabase merged(root + "/merged");
       while (!hosts_done.load(std::memory_order_acquire)) {
         // A failed background pass needs no report: the last pass retries
         // every epoch it left unsealed.
         FleetView view(root);
         if (view.num_hosts() == hosts) {  // else shards are still appearing
-          (void)CompactFleet(view, merged_root, SealedOnAllHosts(view));
+          (void)CompactFleet(view, &merged, SealedOnAllHosts(view));
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
       FleetView view(root);
-      fleet.compaction = CompactFleet(view, merged_root, view.ListSealedEpochs());
+      fleet.compaction = CompactFleet(view, &merged, view.ListSealedEpochs());
     });
   }
 

@@ -50,12 +50,11 @@ TEST(StaticSchedule, CopyLoopMatchesFigure7) {
   const BasicBlock& body = cfg.value().blocks()[0];
   ASSERT_EQ(body.num_instructions(), 13u);
 
-  PipelineModel model;
   std::vector<DecodedInst> instrs;
   for (uint64_t pc = body.start_pc; pc < body.end_pc; pc += kInstrBytes) {
     instrs.push_back(*Decode(*image->InstructionAt(pc)));
   }
-  BlockSchedule schedule = ScheduleBlock(model, instrs);
+  BlockSchedule schedule = ScheduleBlock(instrs);
 
   // Figure 7's M column: 1 0 1 0 1 0 1 0 1 1 1 0 1, total 8 cycles.
   const uint64_t kExpectedM[13] = {1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 0, 1};

@@ -39,13 +39,12 @@ Built BuildFor(const std::string& source, const char* proc_name,
   built.image = Assemble("t", base, source).value();
   built.proc = built.image->FindProcedureByName(proc_name);
   built.cfg = Cfg::Build(*built.image, *built.proc).value();
-  PipelineModel model;
   for (const BasicBlock& block : built.cfg.blocks()) {
     std::vector<DecodedInst> instrs;
     for (uint64_t pc = block.start_pc; pc < block.end_pc; pc += kInstrBytes) {
       instrs.push_back(*Decode(*built.image->InstructionAt(pc)));
     }
-    built.schedules.push_back(ScheduleBlock(model, instrs));
+    built.schedules.push_back(ScheduleBlock(instrs));
   }
   return built;
 }

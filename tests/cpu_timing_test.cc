@@ -61,7 +61,7 @@ struct RunOutcome {
   std::unique_ptr<GroundTruth> truth;
 };
 
-RunOutcome RunProgram(const std::string& source, CpuConfig config = CpuConfig()) {
+RunOutcome RunProgram(const std::string& source) {
   RunOutcome outcome;
   auto image = Assemble("timing", 0x0100'0000, source);
   EXPECT_TRUE(image.ok()) << image.status().ToString();
@@ -69,7 +69,7 @@ RunOutcome RunProgram(const std::string& source, CpuConfig config = CpuConfig())
   outcome.truth = std::make_unique<GroundTruth>();
   outcome.truth->AddImage(outcome.image);
   FlatContext ctx(outcome.image);
-  Cpu cpu(0, config);
+  Cpu cpu(0);
   cpu.set_ground_truth(outcome.truth.get());
   outcome.result = cpu.Run(ctx, 100'000'000);
   outcome.cycles = cpu.now();
@@ -252,7 +252,7 @@ loop:   subq r9, 1, r9
 )");
   ASSERT_TRUE(image.ok());
   FlatContext ctx(image.value());
-  Cpu cpu(0, CpuConfig{});
+  Cpu cpu(0);
   RunResult first = cpu.Run(ctx, 10'000);
   EXPECT_EQ(first.reason, ExitReason::kQuantumExpired);
   // Resume to completion.
@@ -275,7 +275,7 @@ TEST(CpuTiming, LdaAndLdahWrapToInt64Min) {
 )");
   ASSERT_TRUE(image.ok()) << image.status().ToString();
   FlatContext ctx(image.value());
-  Cpu cpu(0, CpuConfig{});
+  Cpu cpu(0);
   EXPECT_EQ(cpu.Run(ctx, 1'000'000).reason, ExitReason::kHalted);
   EXPECT_EQ(ctx.regs().ReadInt(2), std::numeric_limits<int64_t>::min());
   EXPECT_EQ(ctx.regs().ReadInt(4), std::numeric_limits<int64_t>::min());
@@ -285,7 +285,7 @@ TEST(CpuTiming, BadPcStopsExecution) {
   auto image = Assemble("timing", 0x0100'0000, "br r31, outside\noutside: nop\n");
   // Jump off the end of the image by running past the last instruction.
   FlatContext ctx(image.value());
-  Cpu cpu(0, CpuConfig{});
+  Cpu cpu(0);
   RunResult result = cpu.Run(ctx, 1'000'000);
   EXPECT_EQ(result.reason, ExitReason::kBadPc);
 }

@@ -190,6 +190,17 @@ TEST(Engine, CacheHitsOnIdenticalInputs) {
   EXPECT_EQ(ResultBytes(cold), ResultBytes(warm));
 }
 
+// The fingerprint names every cache slot, so a result cache written by an
+// earlier build keeps hitting exactly while these values hold. Editing a
+// machine or tuning constant must change them, and every slot name, on
+// purpose.
+TEST(Engine, ConfigFingerprintIsPinned) {
+  AnalysisConfig checked;
+  checked.selfcheck = true;
+  EXPECT_EQ(ConfigFingerprint(AnalysisConfig()), 0x5c3f11eb66e4298bull);
+  EXPECT_EQ(ConfigFingerprint(checked), 0x5c3f10eb66e427d8ull);
+}
+
 TEST(Engine, CacheMissesWhenImageProfileOrConfigChanges) {
   Fixture f = MakeFixture();
   AnalysisConfig config;
@@ -222,19 +233,14 @@ TEST(Engine, CacheMissesWhenImageProfileOrConfigChanges) {
       AnalysisEngine(options).AnalyzeAll({InputFor(changed_profile)}, config);
   EXPECT_EQ(after_profile.cache_hits, 0u);
 
-  // Config change: a different tuning fingerprint.
+  // Config change: the selfcheck flag is part of the fingerprint, so
+  // checked and unchecked runs never share entries.
   AnalysisConfig changed_config;
-  changed_config.min_dynamic_stall = config.min_dynamic_stall + 0.25;
+  changed_config.selfcheck = true;
   ASSERT_NE(ConfigFingerprint(config), ConfigFingerprint(changed_config));
   EpochAnalysis after_config =
       AnalysisEngine(options).AnalyzeAll({InputFor(f)}, changed_config);
   EXPECT_EQ(after_config.cache_hits, 0u);
-
-  // The selfcheck flag is part of the fingerprint: checked and unchecked
-  // runs never share entries.
-  AnalysisConfig checked = config;
-  checked.selfcheck = true;
-  EXPECT_NE(ConfigFingerprint(config), ConfigFingerprint(checked));
 
   // A slot holds the last inputs stored for its procedure. The profile
   // step stored diamond's changed slice, and straight's original one

@@ -106,8 +106,11 @@ TEST_F(FleetTest, CompactionMatchesMergeOnReadAndIsJobsInvariant) {
 
   std::string out1 = root_ + "/merged_j1";
   std::string out8 = root_ + "/merged_j8";
-  ASSERT_TRUE(CompactFleet(view, out1, {0}, 1).ok());
-  ASSERT_TRUE(CompactFleet(view, out8, {0}, 8).ok());
+  {
+    ProfileDatabase db1(out1), db8(out8);
+    ASSERT_TRUE(CompactFleet(view, &db1, {0}, 1).ok());
+    ASSERT_TRUE(CompactFleet(view, &db8, {0}, 8).ok());
+  }
 
   // The materialized profile equals merge-on-read, for any jobs count.
   Result<ImageProfile> on_read = view.ReadProfile({0}, "app", EventType::kCycles);
@@ -143,9 +146,10 @@ TEST_F(FleetTest, CompactionSkipsAlreadySealedOutputEpochs) {
   WriteShard(root_, 0, {MakeProfile(1000, {{0, 7}})});
   FleetView view(root_);
   std::string out = root_ + "/merged";
-  ASSERT_TRUE(CompactFleet(view, out, {0}).ok());
+  ProfileDatabase out_db(out);
+  ASSERT_TRUE(CompactFleet(view, &out_db, {0}).ok());
   // A second pass over the same epoch is a no-op, not a sealed-epoch error.
-  ASSERT_TRUE(CompactFleet(view, out, {0}).ok());
+  ASSERT_TRUE(CompactFleet(view, &out_db, {0}).ok());
   ProfileDatabase merged(out, DbOpenMode::kReadOnly);
   Result<ImageProfile> profile = merged.ReadProfile(0, "app", EventType::kCycles);
   ASSERT_TRUE(profile.ok());
@@ -221,7 +225,8 @@ TEST_F(FleetTest, CorruptShardProfileIsSkippedLikeCompaction) {
   ASSERT_EQ(view.num_hosts(), 2u);
   Result<ImageProfile> on_read = view.ReadProfile({0}, "app", EventType::kCycles);
   ASSERT_TRUE(on_read.ok()) << on_read.status().ToString();
-  ASSERT_TRUE(CompactFleet(view, root_ + "/merged", {0}).ok());
+  ProfileDatabase out_db(root_ + "/merged");
+  ASSERT_TRUE(CompactFleet(view, &out_db, {0}).ok());
   ProfileDatabase merged(root_ + "/merged", DbOpenMode::kReadOnly);
   Result<ImageProfile> compacted = merged.ReadProfile(0, "app", EventType::kCycles);
   ASSERT_TRUE(compacted.ok());

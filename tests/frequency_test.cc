@@ -23,13 +23,12 @@ Built BuildFor(const char* source, const char* proc_name) {
   built.image = Assemble("t", 0x0100'0000, source).value();
   const ProcedureSymbol* proc = built.image->FindProcedureByName(proc_name);
   built.cfg = Cfg::Build(*built.image, *proc).value();
-  PipelineModel model;
   for (const BasicBlock& block : built.cfg.blocks()) {
     std::vector<DecodedInst> instrs;
     for (uint64_t pc = block.start_pc; pc < block.end_pc; pc += kInstrBytes) {
       instrs.push_back(*Decode(*built.image->InstructionAt(pc)));
     }
-    built.schedules.push_back(ScheduleBlock(model, instrs));
+    built.schedules.push_back(ScheduleBlock(instrs));
   }
   return built;
 }

@@ -17,14 +17,7 @@ namespace {
 using lockrank::HeldCountForTest;
 using lockrank::MaxHeldRankForTest;
 
-class LockHierarchyTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!lockrank::Enabled()) {
-      GTEST_SKIP() << "lock-rank checker compiled out (DCPI_LOCK_RANK_CHECKS=OFF)";
-    }
-  }
-};
+class LockHierarchyTest : public ::testing::Test {};
 
 TEST_F(LockHierarchyTest, RegistersAcquisitionsInRankOrder) {
   Mutex outer(LockRank::kDaemonFlush, "test.outer");

@@ -149,32 +149,29 @@ TEST(WriteBuffer, EarliestIssueIsNonMutating) {
 }
 
 TEST(MemorySystem, LoadLatencyTiers) {
-  MemoryConfig config;
-  MemorySystem mem(config);
+  MemorySystem mem;
   // Cold: miss all the way to memory.
   LoadResult cold = mem.AccessLoad(0);
   EXPECT_TRUE(cold.dcache_miss);
   EXPECT_TRUE(cold.board_miss);
-  EXPECT_EQ(cold.latency,
-            config.load_hit_latency + config.board_latency + config.memory_latency);
+  EXPECT_EQ(cold.latency, kLoadHitLatency + kBoardLatency + kMemoryLatency);
   // Warm: D-cache hit.
   LoadResult warm = mem.AccessLoad(0);
   EXPECT_FALSE(warm.dcache_miss);
-  EXPECT_EQ(warm.latency, config.load_hit_latency);
+  EXPECT_EQ(warm.latency, kLoadHitLatency);
   // Evict from D-cache but not board: board-hit tier.
-  for (uint64_t addr = 1 << 14; addr < (1 << 14) + 2 * config.dcache.size_bytes;
-       addr += config.dcache.line_bytes) {
+  for (uint64_t addr = 1 << 14; addr < (1 << 14) + 2 * kDcacheGeometry.size_bytes;
+       addr += kDcacheGeometry.line_bytes) {
     mem.AccessLoad(addr);
   }
   LoadResult board = mem.AccessLoad(0);
   EXPECT_TRUE(board.dcache_miss);
   EXPECT_FALSE(board.board_miss);
-  EXPECT_EQ(board.latency, config.load_hit_latency + config.board_latency);
+  EXPECT_EQ(board.latency, kLoadHitLatency + kBoardLatency);
 }
 
 TEST(MemorySystem, StoresAreWriteThroughNoAllocate) {
-  MemoryConfig config;
-  MemorySystem mem(config);
+  MemorySystem mem;
   mem.AccessDtbForData(0);
   mem.CommitStore(0, 0);
   // The store must not have filled the D-cache.

@@ -161,7 +161,8 @@ TEST(Session, FleetCompactorMatchesACompactionOfTheFinishedShards) {
   FleetView view(root);
   ASSERT_EQ(view.host_names(), (std::vector<std::string>{FleetHostDir(0), FleetHostDir(1)}));
   const std::string recompacted = scratch.path() + "/recompacted";
-  ASSERT_TRUE(CompactFleet(view, recompacted, view.ListSealedEpochs()).ok());
+  ProfileDatabase recompacted_db(recompacted);
+  ASSERT_TRUE(CompactFleet(view, &recompacted_db, view.ListSealedEpochs()).ok());
   std::map<std::string, std::string> merged = TreeBytes(root + "/merged");
   ASSERT_FALSE(merged.empty());
   EXPECT_TRUE(merged == TreeBytes(recompacted));

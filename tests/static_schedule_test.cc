@@ -21,7 +21,7 @@ std::vector<DecodedInst> InstrsOf(const std::string& body) {
 }
 
 TEST(StaticSchedule, IndependentPairDualIssues) {
-  BlockSchedule s = ScheduleBlock(PipelineModel(), InstrsOf(R"(
+  BlockSchedule s = ScheduleBlock(InstrsOf(R"(
         addq r1, 1, r2
         addq r3, 1, r4
 )"));
@@ -32,7 +32,7 @@ TEST(StaticSchedule, IndependentPairDualIssues) {
 }
 
 TEST(StaticSchedule, RawDependencyBlocksGroupingAndNamesField) {
-  BlockSchedule s = ScheduleBlock(PipelineModel(), InstrsOf(R"(
+  BlockSchedule s = ScheduleBlock(InstrsOf(R"(
         addq r1, 1, r2
         addq r2, 1, r3
 )"));
@@ -43,9 +43,9 @@ TEST(StaticSchedule, RawDependencyBlocksGroupingAndNamesField) {
 }
 
 TEST(StaticSchedule, LoadLatencyCreatesRbOrRaStall) {
-  // The consumer of a load waits load_hit_latency (2): one cycle of stall
+  // The consumer of a load waits kLoadHitLatency (2): one cycle of stall
   // beyond the sequential issue.
-  BlockSchedule s = ScheduleBlock(PipelineModel(), InstrsOf(R"(
+  BlockSchedule s = ScheduleBlock(InstrsOf(R"(
         ldq  r2, 0(r1)
         addq r2, 1, r3
 )"));
@@ -55,26 +55,24 @@ TEST(StaticSchedule, LoadLatencyCreatesRbOrRaStall) {
 }
 
 TEST(StaticSchedule, ImulLatencyIsLong) {
-  PipelineModel model;
-  BlockSchedule s = ScheduleBlock(model, InstrsOf(R"(
+  BlockSchedule s = ScheduleBlock(InstrsOf(R"(
         mulq r1, r2, r3
         addq r3, 1, r4
 )"));
-  EXPECT_EQ(s.instrs[1].m, model.config().imul_latency);
+  EXPECT_EQ(s.instrs[1].m, kImulLatency);
 }
 
 TEST(StaticSchedule, FuOccupancyStallsSecondDivide) {
-  PipelineModel model;
-  BlockSchedule s = ScheduleBlock(model, InstrsOf(R"(
+  BlockSchedule s = ScheduleBlock(InstrsOf(R"(
         divt f1, f2, f3
         divt f4, f5, f6
 )"));
   EXPECT_EQ(s.instrs[1].stall, StaticStallKind::kFuDependency);
-  EXPECT_EQ(s.instrs[1].m, model.config().fdiv_repeat);
+  EXPECT_EQ(s.instrs[1].m, kFdivRepeat);
 }
 
 TEST(StaticSchedule, AdjacentStoresAreSlottingHazard) {
-  BlockSchedule s = ScheduleBlock(PipelineModel(), InstrsOf(R"(
+  BlockSchedule s = ScheduleBlock(InstrsOf(R"(
         stq r1, 0(r3)
         stq r2, 8(r3)
 )"));
@@ -83,7 +81,7 @@ TEST(StaticSchedule, AdjacentStoresAreSlottingHazard) {
 }
 
 TEST(StaticSchedule, LoadsCanPairButNotTriple) {
-  BlockSchedule s = ScheduleBlock(PipelineModel(), InstrsOf(R"(
+  BlockSchedule s = ScheduleBlock(InstrsOf(R"(
         ldq r1, 0(r9)
         ldq r2, 8(r9)
         ldq r3, 16(r9)
@@ -94,7 +92,7 @@ TEST(StaticSchedule, LoadsCanPairButNotTriple) {
 }
 
 TEST(StaticSchedule, BranchEndsGroup) {
-  BlockSchedule s = ScheduleBlock(PipelineModel(), InstrsOf(R"(
+  BlockSchedule s = ScheduleBlock(InstrsOf(R"(
         addq r1, 1, r1
         bne  r3, 0
         addq r2, 1, r2
@@ -111,7 +109,6 @@ TEST(StaticScheduleProperty, MValuesAreConsistent) {
   //  * sum of M == last issue cycle (head times partition the schedule);
   //  * instructions never issue before their producers' results are ready.
   SplitMix64 rng(77);
-  PipelineModel model;
   for (int trial = 0; trial < 200; ++trial) {
     std::string body;
     int n = 2 + static_cast<int>(rng.NextBelow(12));
@@ -137,7 +134,7 @@ TEST(StaticScheduleProperty, MValuesAreConsistent) {
       }
     }
     std::vector<DecodedInst> instrs = InstrsOf(body);
-    BlockSchedule s = ScheduleBlock(model, instrs);
+    BlockSchedule s = ScheduleBlock(instrs);
     ASSERT_EQ(s.instrs.size(), instrs.size());
     EXPECT_EQ(s.instrs[0].m, 1u) << body;
     uint64_t sum_m = 0;
@@ -159,7 +156,7 @@ TEST(StaticScheduleProperty, MValuesAreConsistent) {
       auto dest = instrs[i].DestReg();
       if (dest.has_value() && !dest->IsZero()) {
         ready[{static_cast<int>(dest->bank), dest->index}] =
-            s.instrs[i].issue_cycle + model.ResultLatency(instrs[i]);
+            s.instrs[i].issue_cycle + PipelineModel::ResultLatency(instrs[i]);
       }
       prev_issue = s.instrs[i].issue_cycle;
     }

@@ -1,23 +1,17 @@
 // Seeded lock-rank inversion for the negative runtime test.
 //
 // Acquires a high-rank lock (profiledb level) and then a low-rank one
-// (daemon flush level) — the ABBA half of a potential deadlock. With the
-// lock-hierarchy checker compiled in (DCPI_LOCK_RANK_CHECKS, the default
-// build) the second acquisition must abort with "lock rank violation"
-// naming both locks; scripts/wthread_negative_test.sh asserts exactly
-// that. Reaching the end of main means the checker missed the inversion
-// (exit 0 = the negative test FAILS); exit 77 tells ctest to skip when
-// the checker is compiled out.
+// (daemon flush level) — the ABBA half of a potential deadlock. The
+// lock-hierarchy checker must abort the second acquisition with "lock
+// rank violation" naming both locks; scripts/wthread_negative_test.sh
+// asserts exactly that. Reaching the end of main means the checker missed
+// the inversion (exit 0 = the negative test FAILS).
 
 #include <cstdio>
 
 #include "src/support/mutex.h"
 
 int main() {
-  if (!dcpi::lockrank::Enabled()) {
-    std::fprintf(stderr, "lock-rank checker compiled out; skipping\n");
-    return 77;
-  }
   dcpi::Mutex high(dcpi::LockRank::kProfileDb, "seeded.high");
   dcpi::Mutex low(dcpi::LockRank::kDaemonFlush, "seeded.low");
   dcpi::MutexLock lock_high(&high);
